@@ -6,17 +6,17 @@ import repro.data.{Datasets, QuerySampler, QuerySetting}
 import repro.engine.SequentialEngine
 import repro.spark.{HGMatchSpark, HypergraphDF}
 
-/** The distributed tier at bench scale: the same match-by-hyperedge
-  * dataflow (SCAN → EXPAND* → SINK) executed as Spark DataFrame stages on
-  * the WT analogue, cross-checked against the local engine. Spark's
-  * per-stage overhead dominates at this scale (the paper's engine is
-  * in-process); the point is that the set-operation join plan computes the
-  * same embeddings distributed across executor cores.
+/** The distributed tier at bench scale on the WT analogue, cross-checked
+  * against the local engine: SCAN is a Spark DataFrame stage, and each of
+  * its partitions runs EXPAND* → SINK as one sequential LIFO run over the
+  * broadcast tables. Spark's per-job overhead dominates at this scale (the
+  * paper's engine is in-process); the point is that the per-partition runs
+  * compute the same embeddings distributed across executor cores.
   */
 class SparkDataflowBench extends SparkSpec {
 
   test("Spark dataflow matches local engine on WT queries") {
-    BenchSweep.banner("SPARK DATAFLOW — distributed EXPAND pipeline vs local engine (WT)")
+    BenchSweep.banner("SPARK DATAFLOW — per-partition Spark tasks vs local engine (WT)")
     val g = Datasets.graph("WT")
     val tables = Datasets.tables("WT")
     val hdf = HypergraphDF.build(spark, g)

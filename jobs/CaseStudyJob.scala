@@ -19,7 +19,6 @@ object CaseStudyJob {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("hgmatch-casestudy")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try {

@@ -23,7 +23,6 @@ object MatchJob {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("hgmatch-match")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
     try {

@@ -15,8 +15,9 @@ object CandidateGen {
     var a: Array[Int] = new Array[Int](256)
     var b: Array[Int] = new Array[Int](256)
     var na: Int = 0
+    /** Grows `b`, keeping the postings already gathered for the current pair. */
     def ensureB(n: Int): Unit =
-      if (b.length < n) b = new Array[Int](Integer.highestOneBit(n - 1) << 1)
+      if (b.length < n) b = java.util.Arrays.copyOf(b, Integer.highestOneBit(n - 1) << 1)
     def ensureA(n: Int): Unit =
       if (a.length < n) a = new Array[Int](Integer.highestOneBit(n - 1) << 1)
   }

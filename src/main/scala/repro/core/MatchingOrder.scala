@@ -12,21 +12,13 @@ import scala.collection.mutable
 object MatchingOrder {
 
   /** Returns a permutation of the query's hyperedge ids. Every prefix is
-    * connected provided the query hypergraph is connected (required by the
-    * framework); if the query is disconnected this falls back to appending
-    * the globally cheapest remaining hyperedge (documented deviation — the
-    * paper assumes connected queries).
+    * connected when the query hypergraph is; a disconnected query still
+    * gets a permutation, which [[Plan.fromOrder]] then rejects.
     */
-  def compute(query: Hypergraph, tables: HyperedgeTables): Array[Int] =
-    compute(query, sig => tables.cardinality(sig).toLong)
-
-  /** Cardinality-function form — the Spark tier passes the driver-side
-    * table metadata of [[repro.spark.HypergraphDF]] here.
-    */
-  def compute(query: Hypergraph, cardOf: Signature => Long): Array[Int] = {
+  def compute(query: Hypergraph, tables: HyperedgeTables): Array[Int] = {
     require(query.numEdges > 0, "query must have at least one hyperedge")
     val n = query.numEdges
-    def card(e: Int): Long = cardOf(query.signature(e))
+    def card(e: Int): Int = tables.cardinality(query.signature(e))
 
     val order = new mutable.ArrayBuffer[Int](n)
     val used = new Array[Boolean](n)
@@ -43,16 +35,11 @@ object MatchingOrder {
       while (e < n) {
         if (!used(e)) {
           val shared = query.edges(e).count(coveredVerts.contains)
-          if (shared > 0) {
-            val score = card(e).toDouble / shared
-            if (score < bestScore || (score == bestScore && (best == -1 || e < best))) {
-              best = e; bestScore = score
-            }
-          }
+          val score = if (shared == 0) Double.PositiveInfinity else card(e).toDouble / shared
+          if (best == -1 || score < bestScore) { best = e; bestScore = score }
         }
         e += 1
       }
-      if (best == -1) best = (0 until n).filter(!used(_)).minBy(e => (card(e), e))
       order += best; used(best) = true
       query.edges(best).foreach(coveredVerts += _)
     }

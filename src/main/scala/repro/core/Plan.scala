@@ -36,8 +36,8 @@ final case class PairSpec(prevPos: Int, label: Int, degInPartial: Int) extends S
   * @param queryEdge          query hyperedge id matched at this step
   * @param pos                0-based position in the matching order
   * @param signature          S(e_q) — selects the hyperedge table to probe
-  * @param pairs              Algorithm-4 candidate pairs (never empty for a
-  *                           connected order)
+  * @param pairs              Algorithm-4 candidate pairs (never empty:
+  *                           [[Plan.fromOrder]] requires a connected order)
   * @param nonAdjPrevPos      positions of previously matched hyperedges
   *                           non-adjacent to `queryEdge` (their matched
   *                           vertices form V_n_incdt, Algorithm 4 line 1)
@@ -97,17 +97,17 @@ object Plan {
   def generate(query: Hypergraph, tables: HyperedgeTables): Plan =
     fromOrder(query, MatchingOrder.compute(query, tables))
 
-  /** Cardinality-function form used by the Spark tier. */
-  def generate(query: Hypergraph, cardOf: Signature => Long): Plan =
-    fromOrder(query, MatchingOrder.compute(query, cardOf))
-
   /** Build a plan from an explicit matching order (any connected
     * permutation of E(q) — Section V-A notes HGMatch works with any).
+    * Rejects an order with a disconnected prefix: a step with no
+    * Algorithm-4 pair has no candidates, so it would silently count 0.
     */
   def fromOrder(query: Hypergraph, order: Array[Int]): Plan = {
     require(order.sorted.sameElements(0 until query.numEdges), "order must permute E(q)")
     require(query.numEdges <= 32, "profile keys pack order positions into 32 bits")
     val steps = (1 until order.length).map(i => stepAt(query, order, i)).toArray
+    require(steps.forall(_.pairs.nonEmpty),
+      s"every prefix of the order ${order.mkString("[", ",", "]")} must be connected")
     Plan(query, order, query.signature(order(0)), steps)
   }
 

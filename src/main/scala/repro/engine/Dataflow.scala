@@ -6,8 +6,9 @@ import repro.core._
 /** The dataflow model of Section VI-A: a plan compiles to a direct path
   * SCAN(e₁) → EXPAND(e₂) → … → EXPAND(eₙ) → SINK. Operators here are
   * descriptive; the engines interpret them ([[SequentialEngine]],
-  * [[TaskEngine]], [[BfsEngine]]) and the Spark tier maps them onto
-  * DataFrame stages.
+  * [[TaskEngine]], [[BfsEngine]]), all expanding through [[Expander]]. The
+  * Spark tier runs SCAN as a DataFrame stage and EXPAND* → SINK as one
+  * [[SequentialEngine]] run per SCAN partition.
   */
 sealed trait Operator
 object Operator {

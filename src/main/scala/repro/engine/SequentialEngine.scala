@@ -21,12 +21,16 @@ final case class RunOutcome(
   */
 object SequentialEngine {
 
-  /** Run `plan` to completion or until `timeoutNanos` elapses. */
+  /** Run `plan` to completion or until `timeoutNanos` elapses. `seeds`
+    * replaces the SCAN with the given hyperedge ids of the scan partition
+    * (the Spark tier passes each task its share of them).
+    */
   def run(
       tables: HyperedgeTables,
       plan: Plan,
       sink: Sink = new CountingSink,
       timeoutNanos: Long = Long.MaxValue,
+      seeds: Option[Array[Int]] = None,
   ): RunOutcome = {
     val t0 = System.nanoTime()
     val deadline = if (timeoutNanos == Long.MaxValue) Long.MaxValue else t0 + timeoutNanos
@@ -35,7 +39,7 @@ object SequentialEngine {
     val total = plan.numEdges
 
     val stack = mutable.Stack.empty[Array[Int]]
-    tables.edgesOf(plan.scanSignature).foreach(e => stack.push(Array(e)))
+    seeds.getOrElse(tables.edgesOf(plan.scanSignature)).foreach(e => stack.push(Array(e)))
 
     var ops = 0L
     var timedOut = false

@@ -1,6 +1,6 @@
 package repro.engine
 
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicLong, AtomicLongArray}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicLong, AtomicLongArray, AtomicReference}
 import java.util.concurrent.locks.{LockSupport, ReentrantLock}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -84,7 +84,9 @@ object TaskEngine {
     }
   }
 
-  /** Run `plan` on a fresh pool of `config.threads` workers. */
+  /** Run `plan` on a fresh pool of `config.threads` workers. If a sink or
+    * the expander throws, the run aborts and rethrows the first failure.
+    */
   def run(
       tables: HyperedgeTables,
       plan: Plan,
@@ -109,6 +111,7 @@ object TaskEngine {
     val completed = new AtomicLong(0)
     val qbytes = new AtomicLongArray(p * Stride)
     val abort = new AtomicBoolean(false)
+    val failure = new AtomicReference[Throwable]()
 
     // T_SCAN: seed one task per hyperedge of the scan partition. Each
     // worker receives an equal contiguous share of the firstly matched
@@ -148,18 +151,24 @@ object TaskEngine {
           qbytes.getAndAdd(slot, -taskBytes(t))
           if (!abort.get()) {
             val s = System.nanoTime()
-            if (t.length == total) sink.consume(t) // T_SINK
-            else { // T_EXPAND
-              childBuf.clear()
-              expander.expand(t)(childBuf += _)
-              if (childBuf.nonEmpty) {
-                var spawnedBytes = 0L
-                childBuf.foreach(c => spawnedBytes += taskBytes(c))
-                created.addAndGet(childBuf.length.toLong) // before push
-                val nowBytes = qbytes.addAndGet(slot, spawnedBytes)
-                if (nowBytes > localPeak) localPeak = nowBytes
-                childBuf.foreach(deques(id).push)
+            try {
+              if (t.length == total) sink.consume(t) // T_SINK
+              else { // T_EXPAND
+                childBuf.clear()
+                expander.expand(t)(childBuf += _)
+                if (childBuf.nonEmpty) {
+                  var spawnedBytes = 0L
+                  childBuf.foreach(c => spawnedBytes += taskBytes(c))
+                  created.addAndGet(childBuf.length.toLong) // before push
+                  val nowBytes = qbytes.addAndGet(slot, spawnedBytes)
+                  if (nowBytes > localPeak) localPeak = nowBytes
+                  childBuf.foreach(deques(id).push)
+                }
               }
+            } catch {
+              // The task still counts as completed below, so every worker
+              // drains the remaining (now skipped) tasks and terminates.
+              case e: Throwable => failure.compareAndSet(null, e); abort.set(true)
             }
             val now = System.nanoTime()
             busy(id) += now - s
@@ -213,6 +222,7 @@ object TaskEngine {
 
     threads.foreach(_.start())
     threads.foreach(_.join())
+    if (failure.get() != null) throw failure.get()
 
     val stats = (0 until p).map(id => WorkerStat(id, busy(id), tasksRun(id), steals(id), stolen(id)))
     TaskRunOutcome(

@@ -1,151 +1,50 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import scala.collection.mutable
+import scala.reflect.ClassTag
+import org.apache.spark.sql.SparkSession
 import repro.core._
+import repro.engine.{CollectingSink, CountingSink, SequentialEngine, Sink}
 
 /** The distributed match-by-hyperedge engine: the SCAN → EXPAND* → SINK
-  * dataflow of Section VI expressed as Spark DataFrame operators, so
-  * Spark's DAG/task scheduler distributes the enumeration across executor
-  * cores (the repro target's "distributed_dataflow" adaptation).
+  * dataflow of Section VI with Spark distributing the SCAN.
   *
-  * An embedding is a row `(eids, vsets, lsets)` — the matched data
-  * hyperedge ids in matching order, with their vertex-id and label arrays.
-  * One EXPAND step (Algorithm 4 + Algorithm 5) is:
-  *
-  *  1. a UDF emits the per-pair candidate vertices V_incdt of each
-  *     embedding (driver-computed [[PairSpec]]s; Obs V.2–V.4),
-  *  2. an equi-join against the inverted hyperedge index restricted to the
-  *     query hyperedge's signature fetches posting lists (union within a
-  *     pair = `distinct`),
-  *  3. a group-by counting distinct pairs realises the set intersection of
-  *     Algorithm 4 line 7 (a candidate must be produced by *every* pair),
-  *  4. a join with the hyperedge table materialises candidate vertex sets,
-  *  5. a validation UDF applies Observation V.5 + Theorem V.2 profiles.
-  *
-  * All data-proportional work (explode, joins, aggregation) runs in
-  * Catalyst-planned distributed operators; the UDFs only see one embedding
-  * row at a time plus the tiny per-step plan.
+  * SCAN is a DataFrame stage over the cached `edges` frame. Each of its
+  * partitions becomes one Spark task that runs [[SequentialEngine]] over
+  * the broadcast [[HyperedgeTables]], seeded with the partition's edge ids:
+  * the paper's LIFO order inside each task, expanding through the same
+  * [[repro.engine.Expander]] as every local engine. Tasks share no work
+  * (there is no stealing across tasks), and the driver sums their counts.
+  * This is the shape of BENU and HUGE: the whole index on every task, the
+  * first-matched data hyperedges split across tasks, local backtracking.
   */
 object HGMatchSpark {
 
-  /** Generate a plan from DataFrame-side cardinality metadata. */
-  def plan(query: Hypergraph, hdf: HypergraphDF): Plan =
-    Plan.generate(query, (sig: Signature) => hdf.cardinalities.getOrElse(sig.key, 0L))
+  /** Generate a plan from the broadcast tables' Card(·) metadata. */
+  def plan(query: Hypergraph, hdf: HypergraphDF): Plan = Plan.generate(query, hdf.tables.value)
 
-  /** SCAN: all hyperedges of the partition with the first query
-    * hyperedge's signature, lifted to single-edge embeddings.
+  /** SCAN (the edge ids of the partition with the first query hyperedge's
+    * signature), then EXPAND* → SINK in every SCAN partition: one
+    * [[SequentialEngine]] run per task into a fresh `newSink()`, whose
+    * result `read` returns.
     */
-  def scan(hdf: HypergraphDF, p: Plan): DataFrame = {
+  private def perPartition[S <: Sink, T: ClassTag](hdf: HypergraphDF, p: Plan)(
+      newSink: () => S, read: S => T): Array[T] = {
     val spark = hdf.edges.sparkSession
     import spark.implicits._
-    hdf.edges
-      .where($"sig" === p.scanSignature.key)
-      .select(array($"eid") as "eids", array($"vids") as "vsets", array($"labs") as "lsets")
+    val tables = hdf.tables
+    val scan = hdf.edges.where($"sig" === p.scanSignature.key).select($"eid").as[Long]
+    scan.rdd.mapPartitions { eids =>
+      val sink = newSink()
+      SequentialEngine.run(tables.value, p, sink, seeds = Some(eids.map(_.toInt).toArray))
+      Iterator(read(sink))
+    }.collect()
   }
-
-  /** One EXPAND operator application. */
-  def expand(hdf: HypergraphDF, step: ExpandStep, emb: DataFrame): DataFrame = {
-    val spark = emb.sparkSession
-    import spark.implicits._
-
-    val pairs = step.pairs.toIndexedSeq
-    val nonAdj = step.nonAdjPrevPos.toIndexedSeq
-    val nPairs = pairs.length
-    val expectedProfiles = step.expectedProfiles
-    val expectedVertexCount = step.expectedVertexCount
-    val pos = step.pos
-
-    // Algorithm 4 lines 1–5 per embedding row: emit (pairIdx, vid) for
-    // every data vertex that pair's posting lists must be fetched for.
-    val candVerts = udf { (vsets: Seq[Seq[Long]], lsets: Seq[Seq[Int]]) =>
-      val nonIncident = mutable.HashSet.empty[Long]
-      nonAdj.foreach(j => vsets(j).foreach(nonIncident += _))
-      val degInM = mutable.HashMap.empty[Long, Int]
-      vsets.foreach(_.foreach(v => degInM.update(v, degInM.getOrElse(v, 0) + 1)))
-      val out = mutable.ArrayBuffer.empty[(Int, Long)]
-      var k = 0
-      while (k < nPairs) {
-        val p = pairs(k)
-        val fe = vsets(p.prevPos); val fl = lsets(p.prevPos)
-        var i = 0
-        while (i < fe.length) {
-          val v = fe(i)
-          if (fl(i) == p.label && degInM(v) == p.degInPartial && !nonIncident.contains(v))
-            out += ((k, v))
-          i += 1
-        }
-        k += 1
-      }
-      out.toSeq
-    }
-
-    // Algorithm 5 per candidate: Observation V.5 + Theorem V.2.
-    val validate = udf { (vsets: Seq[Seq[Long]], lsets: Seq[Seq[Int]], cVids: Seq[Long], cLabs: Seq[Int]) =>
-      val verts = mutable.HashSet.empty[Long]
-      vsets.foreach(_.foreach(verts += _))
-      cVids.foreach(verts += _)
-      if (verts.size != expectedVertexCount) false
-      else {
-        val dataProfiles = cVids.indices.map { i =>
-          val v = cVids(i)
-          val positions = (0 until pos).filter(j => vsets(j).contains(v)).toVector :+ pos
-          Profile(cLabs(i), positions)
-        }
-        Profile.canon(dataProfiles) == expectedProfiles
-      }
-    }
-
-    val exploded = emb
-      .select($"eids", explode(candVerts($"vsets", $"lsets")) as "pv")
-      .select($"eids", $"pv._1" as "pair", $"pv._2" as "vid")
-
-    val inv = hdf.inverted.where($"sig" === step.signature.key)
-
-    // Posting-list fetch; `distinct` realises the within-pair union, the
-    // group-by + having realises the cross-pair intersection.
-    val cands = exploded
-      .join(inv, "vid")
-      .select($"eids", $"pair", $"eid" as "cand")
-      .distinct()
-      .groupBy($"eids", $"cand")
-      .agg(countDistinct($"pair") as "np")
-      .where($"np" === lit(nPairs))
-      .select($"eids" as "ceids", $"cand")
-
-    val withEmb = cands.join(emb, $"ceids" === emb("eids")).drop("ceids")
-
-    val candEdges = hdf.edges.select($"eid" as "cand", $"vids" as "cvids", $"labs" as "clabs")
-
-    withEmb
-      .join(candEdges, "cand")
-      // The candidate must not reuse an already-matched hyperedge (fast
-      // path; the profile check would reject it anyway).
-      .where(!array_contains($"eids", $"cand"))
-      .where(validate($"vsets", $"lsets", $"cvids", $"clabs"))
-      .select(
-        concat($"eids", array($"cand")) as "eids",
-        concat($"vsets", array($"cvids")) as "vsets",
-        concat($"lsets", array($"clabs")) as "lsets",
-      )
-  }
-
-  /** Full pipeline: SCAN → EXPAND* ; SINK is `.count()` or a collect. */
-  def embeddings(hdf: HypergraphDF, p: Plan): DataFrame =
-    p.steps.foldLeft(scan(hdf, p))((df, step) => expand(hdf, step, df))
 
   /** Convenience: plan + run + count for a query hypergraph. */
-  def countEmbeddings(spark: SparkSession, hdf: HypergraphDF, query: Hypergraph): Long = {
-    val p = plan(query, hdf)
-    if (hdf.cardinalities.getOrElse(p.scanSignature.key, 0L) == 0L) 0L
-    else embeddings(hdf, p).count()
-  }
+  def countEmbeddings(spark: SparkSession, hdf: HypergraphDF, query: Hypergraph): Long =
+    perPartition(hdf, plan(query, hdf))(() => new CountingSink, (s: CountingSink) => s.count).sum
 
-  /** Embeddings as hyperedge-id tuples in matching order (test use). */
-  def collectTuples(hdf: HypergraphDF, p: Plan): Seq[Vector[Long]] = {
-    val spark = hdf.edges.sparkSession
-    import spark.implicits._
-    embeddings(hdf, p).select($"eids").as[Seq[Long]].collect().toSeq.map(_.toVector)
-  }
+  /** Embeddings of `p` as hyperedge-id tuples in matching order (test use). */
+  def collectTuples(hdf: HypergraphDF, p: Plan): Seq[Vector[Int]] =
+    perPartition(hdf, p)(() => new CollectingSink, (s: CollectingSink) => s.results).toSeq.flatten
 }

@@ -1,25 +1,26 @@
 package repro.spark
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.Hypergraph
+import repro.core.{HyperedgeTables, Hypergraph}
 
-/** DataFrame representation of an indexed data hypergraph (Section IV on
-  * Spark):
+/** An indexed data hypergraph on Spark (Section IV):
   *
-  *  - `vertices(vid, label)`
-  *  - `edges(eid, sig, vids, labs)` — one row per hyperedge; `sig` is the
-  *    signature key, so `edges.where($"sig" === s)` is the partition scan
-  *    of Section IV-B (hyperedge tables keyed by signature)
-  *  - `inverted(vid, sig, eid)` — the inverted hyperedge index of IV-C in
-  *    flat form; an equi-join on (vid, sig) is the posting-list fetch
-  *  - `cardinalities` — driver-side Card(·) metadata for the plan generator
+  *  - `edges(eid, sig, vids, labs)` — one row per hyperedge, cached; `sig`
+  *    is the signature key, so `edges.where($"sig" === s)` is the partition
+  *    scan of Section IV-B (hyperedge tables keyed by signature) that
+  *    distributes SCAN
+  *  - `tables` — the [[HyperedgeTables]] (tables, inverted index and Card(·)
+  *    metadata), broadcast once so every task expands against a local copy
+  *  - `vertices(vid, label)` and `inverted(vid, sig, eid)` — uncached
+  *    relational views of the labels and of the inverted index of IV-C
   */
 final case class HypergraphDF(
     vertices: DataFrame,
     edges: DataFrame,
     inverted: DataFrame,
-    cardinalities: Map[String, Long],
+    tables: Broadcast[HyperedgeTables],
 )
 
 object HypergraphDF {
@@ -38,16 +39,12 @@ object HypergraphDF {
       val labs = h.edges(e).map(h.labels).toSeq
       (e.toLong, h.signature(e).key, vids, labs)
     }
-    val edges = edgeRows.toDF("eid", "sig", "vids", "labs")
+    val edges = edgeRows.toDF("eid", "sig", "vids", "labs").cache()
 
     val inverted = edges
       .select($"eid", $"sig", explode($"vids") as "vid")
       .select($"vid", $"sig", $"eid")
 
-    val cards = (0 until h.numEdges)
-      .groupBy(e => h.signature(e).key)
-      .map { case (k, es) => k -> es.size.toLong }
-
-    HypergraphDF(verts.cache(), edges.cache(), inverted.cache(), cards)
+    HypergraphDF(verts, edges, inverted, spark.sparkContext.broadcast(HyperedgeTables.build(h)))
   }
 }

@@ -33,6 +33,30 @@ class MatchOracleSpec extends SparkSpec {
     )
   }
 
+  test("regression: a pair gathering more than 256 postings keeps them all") {
+    import spark.implicits._
+    // Data: {A,A} edge {a1=0, a2=1}; a1 and a2 each lie in 200 {A,B}
+    // edges with fresh B vertices. Query: e1={u1:A,u2:A}, e2={u2:A,u3:B}.
+    // Matching e2 gathers he(a1) ∪ he(a2) — 400 postings for one pair —
+    // so the gather buffer must grow without dropping the first 200.
+    val fan = 200
+    val labels = Seq(0, 0) ++ Seq.fill(2 * fan)(1)
+    val edges = Seq(Seq(0, 1)) ++ (0 until 2 * fan).map(i => Seq(i / fan, 2 + i))
+    val data = Hypergraph(labels, edges)
+    val query = Hypergraph(Seq(0, 0, 1), Seq(Seq(0, 1), Seq(1, 2)))
+    val t = HyperedgeTables.build(data)
+    val p = Plan.generate(query, t)
+    assert(p.order.toSeq == Seq(0, 1)) // precondition: the rare {A,A} edge is scanned
+    val cnt = SequentialEngine.run(t, p).embeddings
+    assert(cnt == 2 * fan)
+    repro.Oracle.assertEquivalent(
+      Seq(cnt).toDF("embeddings"),
+      MatchOracle.countSql(query),
+      "verts" -> MatchOracle.vertsDf(spark, data),
+      "edges" -> MatchOracle.edgesDf(spark, data),
+    )
+  }
+
   test("oracle catches a wrong count (negative control)") {
     import spark.implicits._
     val bad = intercept[IllegalArgumentException] {

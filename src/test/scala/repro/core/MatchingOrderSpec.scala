@@ -60,12 +60,6 @@ class MatchingOrderSpec extends AnyFunSuite {
       assert(o.take(i).exists(prev => query.edgesAdjacent(prev, o(i))))
   }
 
-  test("cardinality-function overload agrees with tables overload") {
-    val o1 = MatchingOrder.compute(q, t)
-    val o2 = MatchingOrder.compute(q, (s: Signature) => t.cardinality(s).toLong)
-    assert(o1.toSeq == o2.toSeq)
-  }
-
   test("single-edge query") {
     val query = Hypergraph(Seq(0, 1), Seq(Seq(0, 1)))
     assert(MatchingOrder.compute(query, t).toSeq == Seq(0))

@@ -80,6 +80,18 @@ class PlanSpec extends AnyFunSuite {
     }
   }
 
+  test("disconnected queries are rejected by generate and fromOrder") {
+    // Two disjoint {A,B} edges: no Algorithm-4 pair links the second one.
+    val query = Hypergraph(Seq(0, 1, 0, 1), Seq(Seq(0, 1), Seq(2, 3)))
+    assertThrows[IllegalArgumentException](Plan.generate(query, t))
+    assertThrows[IllegalArgumentException](Plan.fromOrder(query, Array(1, 0)))
+  }
+
+  test("fromOrder rejects an order with a disconnected prefix") {
+    // chain3 is connected, but e2 shares no vertex with e0.
+    assertThrows[IllegalArgumentException](Plan.fromOrder(QueryFixtures.chain3, Array(0, 2, 1)))
+  }
+
   test("generate uses the matching order") {
     val p = Plan.generate(q, t)
     assert(p.order.toSeq == MatchingOrder.compute(q, t).toSeq)

@@ -1,10 +1,24 @@
 package repro.engine
 
+import java.util.concurrent.atomic.AtomicLong
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 import repro.TestGraphs
 import repro.core._
 
-class TaskEngineSpec extends AnyFunSuite {
+class TaskEngineSpec extends AnyFunSuite with TimeLimits {
+
+  // Interrupts the test thread if a run hangs instead of failing.
+  private implicit val signaler: Signaler = ThreadSignaler
+
+  /** Counts like [[CountingSink]] but throws on its `failAt`-th embedding. */
+  private final class ThrowingSink(failAt: Long) extends Sink {
+    private val n = new AtomicLong
+    def consume(emb: Array[Int]): Unit =
+      if (n.incrementAndGet() == failAt) throw new IllegalStateException("sink failed")
+    def count: Long = n.get()
+  }
 
   private val h = Hypergraph.fig1Data
   private val t = HyperedgeTables.build(h)
@@ -97,6 +111,25 @@ class TaskEngineSpec extends AnyFunSuite {
       val p = Plan.generate(query, tb)
       val r = TaskEngine.run(tb, p, TaskEngineConfig(4), timeoutNanos = 1L)
       assert(!r.outcome.completed)
+    }
+  }
+
+  test("a failing sink fails a 1-worker run instead of completing it") {
+    failAfter(30.seconds) {
+      val e = intercept[IllegalStateException](TaskEngine.run(t, plan, TaskEngineConfig(1), new ThrowingSink(1)))
+      assert(e.getMessage == "sink failed")
+    }
+  }
+
+  test("a failing sink fails a multi-worker run instead of hanging it") {
+    val data = TestGraphs.random(25, 60, 2, 4, 77)
+    val tb = HyperedgeTables.build(data)
+    val query = TestGraphs.sampleQuery(data, 3, 99).get
+    val p = Plan.generate(query, tb)
+    assert(SequentialEngine.run(tb, p).embeddings > 10) // precondition: work left after the failure
+    failAfter(30.seconds) {
+      val e = intercept[IllegalStateException](TaskEngine.run(tb, p, TaskEngineConfig(4), new ThrowingSink(5)))
+      assert(e.getMessage == "sink failed")
     }
   }
 

@@ -13,13 +13,13 @@ class HGMatchSparkSpec extends SparkSpec {
   test("fig1: the distributed dataflow finds the two embeddings") {
     val p = Plan.fromOrder(q, Array(0, 1, 2))
     val tuples = HGMatchSpark.collectTuples(hdf, p)
-    assert(tuples.toSet == Set(Vector(0L, 2L, 4L), Vector(1L, 3L, 5L)))
+    assert(tuples.toSet == Set(Vector(0, 2, 4), Vector(1, 3, 5)))
   }
 
   test("fig1: every matching order gives the same count") {
     for (order <- Seq(Array(0, 1, 2), Array(1, 0, 2), Array(2, 1, 0))) {
       val p = Plan.fromOrder(q, order)
-      assert(HGMatchSpark.embeddings(hdf, p).count() == 2, order.toSeq.toString)
+      assert(HGMatchSpark.collectTuples(hdf, p).size == 2, order.toSeq.toString)
     }
   }
 
@@ -30,6 +30,19 @@ class HGMatchSparkSpec extends SparkSpec {
   test("unmatchable signature short-circuits to zero") {
     val query = Hypergraph(Seq(1, 1), Seq(Seq(0, 1)))
     assert(HGMatchSpark.countEmbeddings(spark, hdf, query) == 0)
+  }
+
+  test("disconnected query is rejected, not answered with a wrong count") {
+    import spark.implicits._
+    // Two disjoint {A,B} edges: DuckDB counts 2 embeddings on Fig 1.
+    val query = Hypergraph(Seq(0, 1, 0, 1), Seq(Seq(0, 1), Seq(2, 3)))
+    repro.Oracle.assertEquivalent(
+      Seq(2L).toDF("embeddings"),
+      MatchOracle.countSql(query),
+      "verts" -> MatchOracle.vertsDf(spark, h),
+      "edges" -> MatchOracle.edgesDf(spark, h),
+    )
+    assertThrows[IllegalArgumentException](HGMatchSpark.countEmbeddings(spark, hdf, query))
   }
 
   test("single-hyperedge query is a pure SCAN") {

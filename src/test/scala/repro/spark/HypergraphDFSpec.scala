@@ -36,7 +36,12 @@ class HypergraphDFSpec extends SparkSpec {
   }
 
   test("cardinality metadata matches partition sizes (Def V.2)") {
-    assert(hdf.cardinalities == Map("0|1" -> 2L, "0|0|2" -> 2L, "0|0|1|2" -> 2L))
+    val frame = hdf.edges.groupBy("sig").count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
+    assert(frame == Map("0|1" -> 2L, "0|0|2" -> 2L, "0|0|1|2" -> 2L))
+    (0 until h.numEdges).foreach { e =>
+      val sig = h.signature(e)
+      assert(hdf.tables.value.cardinality(sig) == frame(sig.key))
+    }
   }
 
   test("edge rows carry aligned vids and labs arrays") {

@@ -4,9 +4,9 @@ import repro.{SparkSpec, TestGraphs}
 import repro.core._
 import repro.engine.SequentialEngine
 
-/** Edge cases of the distributed EXPAND pipeline that random sampling may
-  * miss: the non-adjacency exclusion path, empty intermediate frontiers,
-  * chain queries, and heavier 4-edge queries.
+/** Edge cases of the Spark tier that random sampling may miss: the
+  * non-adjacency exclusion path, empty intermediate frontiers, chain
+  * queries, and heavier 4-edge queries.
   */
 class SparkEdgeCasesSpec extends SparkSpec {
 
@@ -36,10 +36,9 @@ class SparkEdgeCasesSpec extends SparkSpec {
     val query = Hypergraph(Seq(0, 0, 1, 1), Seq(Seq(0, 1), Seq(1, 2, 3)))
     // query's 2nd edge has signature {0,1,1}; data has none — scan order
     // puts it first and short-circuits... force the other order:
-    val tb = HyperedgeTables.build(data)
     val hdf = HypergraphDF.build(spark, data)
     val p = Plan.fromOrder(query, Array(0, 1))
-    assert(HGMatchSpark.embeddings(hdf, p).count() == 0)
+    assert(HGMatchSpark.collectTuples(hdf, p).isEmpty)
   }
 
   test("4-edge random-walk queries agree with the local engine") {
