@@ -8,13 +8,16 @@ package repro.core
 object CandidateGen {
 
   /** Reusable per-thread buffers for the hot path: the running
-    * intersection `a` and the per-pair gather buffer `b`. One [[Scratch]]
-    * per worker thread; `candidates` is reentrancy-free.
+    * intersection `a`, the per-pair gather buffer `b`, and the prefix's
+    * vertex profiles `masks`, which [[Validation.sharedProfileKeys]] reads
+    * after candidate generation. One [[Scratch]] per worker thread;
+    * `candidatesInto` is reentrancy-free.
     */
   final class Scratch {
     var a: Array[Int] = new Array[Int](256)
     var b: Array[Int] = new Array[Int](256)
     var na: Int = 0
+    val masks = new VertexMasks
     /** Grows `b`, keeping the postings already gathered for the current pair. */
     def ensureB(n: Int): Unit =
       if (b.length < n) b = java.util.Arrays.copyOf(b, Integer.highestOneBit(n - 1) << 1)
@@ -23,18 +26,19 @@ object CandidateGen {
   }
 
   /** Algorithm 4 into caller-provided scratch. On return, the candidates
-    * are `scratch.a(0 until scratch.na)`, sorted ascending.
+    * are `scratch.a(0 until scratch.na)`, sorted ascending, and
+    * `scratch.masks` holds the profiles of `emb`'s vertices.
     *
     * Per pair, posting lists are gathered, sorted and deduped (the
     * within-pair union), then merged into the running intersection in
     * place — no per-call allocations beyond buffer growth. The per-vertex
     * partial-embedding degree (Obs V.4) and V_n_incdt membership (Obs
-    * V.3) come from one membership sweep over the ≤ |E(q)| matched
-    * hyperedges.
+    * V.3) come from the vertex's position mask.
     */
   def candidatesInto(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int],
                      scratch: Scratch): Unit = {
     val g = tables.graph
+    scratch.masks.load(g, emb, step.pos)
     scratch.na = 0
     var k = 0
     while (k < step.pairs.length) {
@@ -47,18 +51,8 @@ object CandidateGen {
       while (i < fe.length) {
         val v = fe(i)
         if (g.labels(v) == p.label) {
-          // degInM(v) and the non-incident exclusion in one sweep
-          var deg = 0
-          var nonIncident = false
-          var j = 0
-          while (j < step.pos && !nonIncident) {
-            if (SetOps.contains(g.edges(emb(j)), v)) {
-              deg += 1
-              if ((step.nonAdjMask & (1L << j)) != 0L) nonIncident = true
-            }
-            j += 1
-          }
-          if (!nonIncident && deg == p.degInPartial) {
+          val m = scratch.masks.get(v)
+          if ((m & step.nonAdjMask) == 0L && java.lang.Long.bitCount(m) == p.degInPartial) {
             val post = tables.incident(v, step.signature)
             scratch.ensureB(nb + post.length)
             System.arraycopy(post, 0, scratch.b, nb, post.length)
@@ -98,12 +92,5 @@ object CandidateGen {
       if (scratch.na == 0) return
       k += 1
     }
-  }
-
-  /** Algorithm 4, allocating form (tests and non-hot callers). */
-  def candidates(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int]): Array[Int] = {
-    val s = new Scratch
-    candidatesInto(tables, step, emb, s)
-    java.util.Arrays.copyOf(s.a, s.na)
   }
 }

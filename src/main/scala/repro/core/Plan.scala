@@ -69,6 +69,11 @@ final case class ExpandStep(
 ) extends Serializable {
   /** nonAdjPrevPos as a mask for O(1) membership on the hot path. */
   val nonAdjMask: Long = nonAdjPrevPos.foldLeft(0L)((m, j) => m | (1L << j))
+  /** The sorted expected keys of the vertices `queryEdge` shares with the
+    * partial query before this step (mask ≠ this position alone): the
+    * only keys the hot path compares (see [[Validation]]).
+    */
+  val expectedSharedKeys: Array[Long] = expectedProfileKeys.filter(k => (k & 0xffffffffL) != (1L << pos))
 }
 
 object Profiles {

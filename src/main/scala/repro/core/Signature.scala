@@ -22,6 +22,28 @@ final case class Signature private (sortedLabels: Vector[Int]) {
     */
   def key: String = sortedLabels.mkString("|")
 
+  // Equality and hashing by index, not through Scala's generic Seq
+  // equality: candidate generation looks a partition up per V_incdt vertex,
+  // and the generic path's interface type checks contend between worker
+  // threads on JDK 17 (task-engine runs that spent a third of their samples
+  // there ran ~40% slower).
+  override val hashCode: Int = {
+    var h = 1
+    var i = 0
+    while (i < sortedLabels.length) { h = 31 * h + sortedLabels(i); i += 1 }
+    h
+  }
+
+  override def equals(o: Any): Boolean = o match {
+    case s: Signature =>
+      (s eq this) || (s.hashCode == hashCode && s.arity == arity && {
+        var i = 0
+        while (i < arity && s.sortedLabels(i) == sortedLabels(i)) i += 1
+        i == arity
+      })
+    case _ => false
+  }
+
   override def toString: String = s"Sig(${sortedLabels.mkString(",")})"
 }
 

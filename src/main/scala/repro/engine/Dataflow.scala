@@ -9,6 +9,13 @@ import repro.core._
   * [[TaskEngine]], [[BfsEngine]]), all expanding through [[Expander]]. The
   * Spark tier runs SCAN as a DataFrame stage and EXPAND* → SINK as one
   * [[SequentialEngine]] run per SCAN partition.
+  *
+  * SINK is the paper's I/O-free counter. When the sink only counts
+  * ([[Sink.countOnly]]), the sequential and task engines fuse the last
+  * EXPAND into it: a partial embedding one hyperedge short of complete is
+  * handed to [[Expander.countExtensions]], which counts its valid
+  * extensions without building them, and the count goes to [[Sink.add]].
+  * [[BfsEngine]], the Exp-5 comparison point, materialises every level.
   */
 sealed trait Operator
 object Operator {
@@ -30,6 +37,15 @@ object Operator {
 trait Sink {
   def consume(emb: Array[Int]): Unit
   def count: Long
+  /** True if the sink needs only the number of embeddings: the engines
+    * then count the last step's extensions and [[add]] them instead of
+    * building and consuming each one.
+    */
+  def countOnly: Boolean = false
+  /** Adds `n` embeddings that were counted, not built. Called only when
+    * [[countOnly]] is true.
+    */
+  def add(n: Long): Unit = throw new UnsupportedOperationException("this sink consumes embeddings")
 }
 
 /** Counts embeddings (the paper's default metric — I/O-free). */
@@ -37,6 +53,8 @@ final class CountingSink extends Sink {
   private val n = new LongAdder
   def consume(emb: Array[Int]): Unit = n.increment()
   def count: Long = n.sum()
+  override def countOnly: Boolean = true
+  override def add(k: Long): Unit = n.add(k)
 }
 
 /** Collects embeddings — test/case-study use only, results must fit in heap. */
@@ -59,7 +77,8 @@ final class MatchCounters {
 /** One EXPAND application shared by every engine: generate candidates,
   * validate, emit extensions, maintain counters. Scratch buffers are
   * per-thread, so one Expander serves all workers allocation-free (bar
-  * the emitted embeddings themselves).
+  * the emitted embeddings themselves). The counters are updated once per
+  * expansion.
   */
 final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounters) {
 
@@ -72,18 +91,30 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
   }
   private val locals = ThreadLocal.withInitial[Local](() => new Local)
 
-  /** Expand `emb` (length = current position) by the next query hyperedge.
-    * Uses the packed-profile hot path of [[Validation]] (identical
-    * semantics to Algorithm 5; equivalence is unit-tested).
+  /** Expand `emb` (length = current position) by the next query hyperedge,
+    * emitting each valid extension as a new array.
     */
-  def expand(emb: Array[Int])(emit: Array[Int] => Unit): Unit = {
+  def expand(emb: Array[Int])(emit: Array[Int] => Unit): Unit = { extend(emb, emit); () }
+
+  /** The number of valid extensions of `emb`: the same candidate loop and
+    * counters as [[expand]], but no extension is built. The engines call it
+    * for the last step when the sink only counts (the fused SINK).
+    */
+  def countExtensions(emb: Array[Int]): Long = extend(emb, null)
+
+  /** Algorithm 4, then per candidate the duplicate reject, Observation
+    * V.5 and Theorem V.2 on the shared vertices (see [[Validation]]);
+    * `emit` may be null. Returns the number of valid candidates.
+    */
+  private def extend(emb: Array[Int], emit: Array[Int] => Unit): Long = {
     val step = plan.steps(emb.length - 1)
     val local = locals.get()
     val scratch = local.scratch
     CandidateGen.candidatesInto(tables, step, emb, scratch)
-    counters.candidates.add(scratch.na)
     val arity = step.signature.arity // candidates carry S(e_q), same arity
     val keys = local.keys
+    var filtered = 0L
+    var valid = 0L
     var i = 0
     while (i < scratch.na) {
       val c = scratch.a(i)
@@ -91,18 +122,24 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
       var j = 0
       while (j < emb.length && !dup) { dup = emb(j) == c; j += 1 }
       if (!dup) {
-        val fresh = Validation.profileKeys(tables, step, emb, c, keys)
+        val fresh = Validation.sharedProfileKeys(tables, step, scratch.masks, c, keys)
         if (Validation.freshCountOk(step, fresh)) {
-          counters.filtered.increment()
-          if (Validation.profileKeysOk(step, keys, arity)) {
-            counters.validated.increment()
-            val next = java.util.Arrays.copyOf(emb, emb.length + 1)
-            next(emb.length) = c
-            emit(next)
+          filtered += 1
+          if (Validation.sharedKeysOk(step, keys, arity - fresh)) {
+            valid += 1
+            if (emit != null) {
+              val next = java.util.Arrays.copyOf(emb, emb.length + 1)
+              next(emb.length) = c
+              emit(next)
+            }
           }
         }
       }
       i += 1
     }
+    counters.candidates.add(scratch.na)
+    counters.filtered.add(filtered)
+    counters.validated.add(valid)
+    valid
   }
 }

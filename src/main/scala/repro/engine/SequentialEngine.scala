@@ -17,7 +17,8 @@ final case class RunOutcome(
 /** Single-thread LIFO execution — the task scheduler of Section VI-B with
   * p = 1: an explicit stack of partial embeddings, newest first, so at most
   * one expansion frontier is live at any time (DFS memory behaviour without
-  * recursion — HGMatch never recurses).
+  * recursion — HGMatch never recurses). With a count-only sink the last
+  * EXPAND is fused into SINK (see [[Operator]]).
   */
 object SequentialEngine {
 
@@ -37,6 +38,7 @@ object SequentialEngine {
     val counters = new MatchCounters
     val expander = new Expander(tables, plan, counters)
     val total = plan.numEdges
+    val countLast = sink.countOnly
 
     val stack = mutable.Stack.empty[Array[Int]]
     seeds.getOrElse(tables.edgesOf(plan.scanSignature)).foreach(e => stack.push(Array(e)))
@@ -46,6 +48,7 @@ object SequentialEngine {
     while (stack.nonEmpty && !timedOut) {
       val emb = stack.pop()
       if (emb.length == total) sink.consume(emb)
+      else if (countLast && emb.length == total - 1) sink.add(expander.countExtensions(emb))
       else expander.expand(emb)(stack.push(_))
       ops += 1
       if ((ops & 0xff) == 0 && System.nanoTime() > deadline) timedOut = true

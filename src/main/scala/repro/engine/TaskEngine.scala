@@ -33,11 +33,13 @@ final case class TaskRunOutcome(
   *
   * A task is one partial embedding (Definition VI.1): executing it either
   * sinks it (complete) or expands it, spawning one child task per valid
-  * extension. Each worker owns a deque; new tasks go to the head and the
-  * worker pops from the head (LIFO — the bounded-memory order of Theorem
-  * VI.1). An idle worker picks a random victim and steals half of the
-  * victim's tasks from the *tail*, i.e. the oldest/shallowest embeddings
-  * carrying the most remaining work.
+  * extension. With a count-only sink, a task one hyperedge short of
+  * complete counts its valid extensions straight into the sink and spawns
+  * nothing (the fused SINK of [[Operator]]). Each worker owns a deque; new
+  * tasks go to the head and the worker pops from the head (LIFO — the
+  * bounded-memory order of Theorem VI.1). An idle worker picks a random
+  * victim and steals half of the victim's tasks from the *tail*, i.e. the
+  * oldest/shallowest embeddings carrying the most remaining work.
   *
   * The paper uses a Chase–Lev non-blocking deque; here each deque is an
   * `ArrayDeque` under a light `ReentrantLock` (tryLock on the thief side) —
@@ -101,6 +103,7 @@ object TaskEngine {
     val counters = new MatchCounters
     val expander = new Expander(tables, plan, counters)
     val total = plan.numEdges
+    val countLast = sink.countOnly
     val p = config.threads
 
     val deques = Array.fill(p)(new WorkerDeque)
@@ -153,6 +156,7 @@ object TaskEngine {
             val s = System.nanoTime()
             try {
               if (t.length == total) sink.consume(t) // T_SINK
+              else if (countLast && t.length == total - 1) sink.add(expander.countExtensions(t))
               else { // T_EXPAND
                 childBuf.clear()
                 expander.expand(t)(childBuf += _)

@@ -67,9 +67,15 @@ class TaskEngineSpec extends AnyFunSuite with TimeLimits {
   }
 
   test("per-worker stats account for all executed tasks") {
-    val r = TaskEngine.run(t, plan, TaskEngineConfig(3))
-    // tasks = scan seeds (2) + expansions spawned (2 at step1) + sinks (2)
-    assert(r.workers.map(_.tasks).sum == 6)
+    // Emitting sink: tasks = scan seeds (2) + expansions spawned (2 at
+    // step 1) + sinks (2).
+    val collected = TaskEngine.run(t, plan, TaskEngineConfig(3), new CollectingSink)
+    assert(collected.workers.map(_.tasks).sum == 6)
+    // Count-only sink: the step-1 tasks count their extensions into the
+    // sink, so the 2 complete embeddings are never queued.
+    val counted = TaskEngine.run(t, plan, TaskEngineConfig(3), new CountingSink)
+    assert(counted.workers.map(_.tasks).sum == 4)
+    assert(counted.outcome.embeddings == 2)
   }
 
   test("peak queue bytes within the Theorem VI.1 bound") {
@@ -161,9 +167,12 @@ class TaskEngineSpec extends AnyFunSuite with TimeLimits {
   test("contiguous share seeding covers every seed exactly once") {
     // With stealing off and 3 workers, the 2 seeds go to distinct shares
     // and both embeddings are still found.
-    val r = TaskEngine.run(t, plan, TaskEngineConfig(3, stealing = false))
-    assert(r.outcome.embeddings == 2)
-    assert(r.workers.map(_.tasks).sum == 6)
+    val collected = TaskEngine.run(t, plan, TaskEngineConfig(3, stealing = false), new CollectingSink)
+    assert(collected.outcome.embeddings == 2)
+    assert(collected.workers.map(_.tasks).sum == 6)
+    val counted = TaskEngine.run(t, plan, TaskEngineConfig(3, stealing = false), new CountingSink)
+    assert(counted.outcome.embeddings == 2)
+    assert(counted.workers.map(_.tasks).sum == 4)
   }
 
   test("deterministic counts across repeated parallel runs") {
