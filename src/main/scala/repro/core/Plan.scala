@@ -2,22 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A vertex profile (Definition V.3), driver/plan-side form: the vertex's
-  * label plus the set of *order positions* of the partial-query hyperedges
-  * incident to it. Using order positions (not edge ids) makes query-side
-  * and data-side profiles directly comparable: a data vertex's profile
-  * lists the positions of the matched hyperedges that contain it.
-  */
-final case class Profile(label: Int, positions: Vector[Int]) extends Serializable
-
-object Profile {
-  implicit val ordering: Ordering[Profile] =
-    Ordering.by((p: Profile) => (p.label, p.positions.mkString(",")))
-
-  /** Canonical multiset form: sorted sequence. */
-  def canon(ps: Seq[Profile]): Vector[Profile] = ps.sorted.toVector
-}
-
 /** One (adjacent previous hyperedge, shared query vertex) pair of Algorithm 4
   * lines 3–5: when expanding, the candidates contributed by this pair are
   * the union over V_incdt ⊆ f(order[prevPos]) of he(v, S(e_q)), where
@@ -41,20 +25,15 @@ final case class PairSpec(prevPos: Int, label: Int, degInPartial: Int) extends S
   * @param nonAdjPrevPos      positions of previously matched hyperedges
   *                           non-adjacent to `queryEdge` (their matched
   *                           vertices form V_n_incdt, Algorithm 4 line 1)
-  * @param expectedProfiles   canonical multiset of query-side vertex
-  *                           profiles of the vertices of `queryEdge` w.r.t.
-  *                           the partial query after this step (Theorem V.2)
-  * @param expectedVertexCount |V(q')| after this step (Observation V.5)
   * @param newVertexCount     vertices `queryEdge` adds over the previous
   *                           partial query — a valid prefix covers exactly
   *                           the previous |V(q')| data vertices, so the
   *                           Observation V.5 check reduces to counting the
   *                           candidate's fresh vertices (hot-path form)
-  * @param expectedProfileKeys the profile multiset packed as sorted Longs,
-  *                           `label << 32 | position-bitmask` — the hot
-  *                           path compares sorted key arrays instead of
-  *                           building Profile objects (requires
-  *                           |E(q)| ≤ 32, enforced by [[Plan.fromOrder]])
+  * @param expectedProfileKeys the multiset of query-side vertex profiles
+  *                           (Definition V.3, Theorem V.2) of the vertices
+  *                           of `queryEdge` w.r.t. the partial query after
+  *                           this step, as sorted [[Profiles.key]]s
   */
 final case class ExpandStep(
     queryEdge: Int,
@@ -62,8 +41,6 @@ final case class ExpandStep(
     signature: Signature,
     pairs: Array[PairSpec],
     nonAdjPrevPos: Array[Int],
-    expectedProfiles: Vector[Profile],
-    expectedVertexCount: Int,
     newVertexCount: Int,
     expectedProfileKeys: Array[Long],
 ) extends Serializable {
@@ -76,6 +53,14 @@ final case class ExpandStep(
   val expectedSharedKeys: Array[Long] = expectedProfileKeys.filter(k => (k & 0xffffffffL) != (1L << pos))
 }
 
+/** A vertex profile (Definition V.3) is the vertex's label plus the set of
+  * *order positions* of the partial-query hyperedges incident to it. Order
+  * positions (not edge ids) make query-side and data-side profiles directly
+  * comparable: a data vertex's profile lists the positions of the matched
+  * hyperedges that contain it. A profile packs into one Long,
+  * `label << 32 | position-bitmask` (|E(q)| ≤ 32, enforced by
+  * [[Plan.fromOrder]]).
+  */
 object Profiles {
   /** Pack a profile into its Long key. */
   def key(label: Int, positions: Iterable[Int]): Long =
@@ -138,27 +123,18 @@ object Plan {
 
     // Query-side profiles of e_q's vertices in the partial query after the
     // step: label plus positions ≤ i of order hyperedges containing u.
-    val profiles = eqVerts.toIndexedSeq.map { u =>
-      val pos = (0 to i).filter(j => SetOps.contains(query.edges(order(j)), u)).toVector
-      Profile(query.labels(u), pos)
-    }
+    val profileKeys = eqVerts.map { u =>
+      Profiles.key(query.labels(u), (0 to i).filter(j => SetOps.contains(query.edges(order(j)), u)))
+    }.sorted
 
-    val coveredBefore = mutable.HashSet.empty[Int]
-    (0 until i).foreach(j => query.edges(order(j)).foreach(coveredBefore += _))
-    val covered = coveredBefore.clone()
-    query.edges(eq).foreach(covered += _)
-
-    val canonProfiles = Profile.canon(profiles)
     ExpandStep(
       queryEdge = eq,
       pos = i,
       signature = query.signature(eq),
       pairs = pairs.toArray,
       nonAdjPrevPos = nonAdj.toArray,
-      expectedProfiles = canonProfiles,
-      expectedVertexCount = covered.size,
-      newVertexCount = covered.size - coveredBefore.size,
-      expectedProfileKeys = canonProfiles.map(p => Profiles.key(p.label, p.positions)).toArray.sorted,
+      newVertexCount = eqVerts.count(degBefore(_) == 0),
+      expectedProfileKeys = profileKeys,
     )
   }
 }

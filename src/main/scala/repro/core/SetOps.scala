@@ -2,13 +2,12 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-/** Set operations over sorted, duplicate-free Int arrays.
-  *
-  * HGMatch's candidate generation (Section V-B) is phrased entirely as set
-  * difference/union/intersection over posting lists; the paper leans on the
-  * fact that these "can be implemented very efficiently on modern hardware".
-  * The paper's own engine uses scalar (non-SIMD) set ops — so do we: merge
-  * intersection with a galloping fallback when sizes are lopsided.
+/** Set operations over sorted, duplicate-free Int arrays: membership by
+  * binary search, and the intersection the match-by-vertex baselines use
+  * (merge, with a galloping fallback when sizes are lopsided). The paper's
+  * own engine uses scalar (non-SIMD) set ops, and so does this one.
+  * HGMatch's candidate generation (Section V-B) does its posting-list
+  * unions and intersections in place, in [[CandidateGen]]'s buffers.
   */
 object SetOps {
 
@@ -44,56 +43,6 @@ object SetOps {
       i += 1
     }
     out.toArray
-  }
-
-  /** Union of two sorted distinct arrays. */
-  def union(a: Array[Int], b: Array[Int]): Array[Int] = {
-    if (a.length == 0) return b
-    if (b.length == 0) return a
-    val out = new ArrayBuffer[Int](a.length + b.length)
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
-      val x = a(i); val y = b(j)
-      if (x == y) { out += x; i += 1; j += 1 }
-      else if (x < y) { out += x; i += 1 }
-      else { out += y; j += 1 }
-    }
-    while (i < a.length) { out += a(i); i += 1 }
-    while (j < b.length) { out += b(j); j += 1 }
-    out.toArray
-  }
-
-  /** `a \ b` over sorted distinct arrays. */
-  def difference(a: Array[Int], b: Array[Int]): Array[Int] = {
-    if (a.length == 0 || b.length == 0) return a
-    val out = new ArrayBuffer[Int](a.length)
-    var i = 0; var j = 0
-    while (i < a.length) {
-      val x = a(i)
-      while (j < b.length && b(j) < x) j += 1
-      if (j >= b.length || b(j) != x) out += x
-      i += 1
-    }
-    out.toArray
-  }
-
-  /** Union of many sorted distinct arrays (tournament of pairwise unions). */
-  def unionAll(sets: Iterable[Array[Int]]): Array[Int] =
-    sets.foldLeft(empty)(union)
-
-  /** Intersection of many sorted distinct arrays, smallest-first for an
-    * early empty exit.
-    */
-  def intersectAll(sets: Seq[Array[Int]]): Array[Int] = {
-    if (sets.isEmpty) return empty
-    val ordered = sets.sortBy(_.length)
-    var acc = ordered.head
-    var i = 1
-    while (i < ordered.length && acc.length > 0) {
-      acc = intersect(acc, ordered(i))
-      i += 1
-    }
-    acc
   }
 
   /** Membership test on a sorted distinct array. */

@@ -80,7 +80,9 @@ object BfsEngine {
       pos += 1
     }
 
-    val count = if (exceeded || timedOut) 0L else level.length.toLong
+    // On a deadline in the last level, `level` holds the complete
+    // embeddings found so far; a memory cap reports none.
+    val count = if (exceeded || pos < plan.numEdges) 0L else level.length.toLong
     BfsRunOutcome(
       RunOutcome(count, !(exceeded || timedOut), System.nanoTime() - t0, counters.snapshot),
       peak,

@@ -5,16 +5,17 @@ import repro.core._
 
 /** The dataflow model of Section VI-A: a plan compiles to a direct path
   * SCAN(e₁) → EXPAND(e₂) → … → EXPAND(eₙ) → SINK. Operators here are
-  * descriptive; the engines interpret them ([[SequentialEngine]],
-  * [[TaskEngine]], [[BfsEngine]]), all expanding through [[Expander]]. The
-  * Spark tier runs SCAN as a DataFrame stage and EXPAND* → SINK as one
-  * [[SequentialEngine]] run per SCAN partition.
+  * descriptive; the engines interpret them ([[TaskEngine]], whose
+  * one-worker form is [[SequentialEngine]], and [[BfsEngine]]), all
+  * expanding through [[Expander]]. The Spark tier runs SCAN as a DataFrame
+  * stage and EXPAND* → SINK as one [[SequentialEngine]] run (the task
+  * engine at p = 1 on the Spark task's thread) per SCAN partition.
   *
   * SINK is the paper's I/O-free counter. When the sink only counts
-  * ([[Sink.countOnly]]), the sequential and task engines fuse the last
-  * EXPAND into it: a partial embedding one hyperedge short of complete is
-  * handed to [[Expander.countExtensions]], which counts its valid
-  * extensions without building them, and the count goes to [[Sink.add]].
+  * ([[Sink.countOnly]]), the task engine fuses the last EXPAND into it: a
+  * partial embedding one hyperedge short of complete is handed to
+  * [[Expander.countExtensions]], which counts its valid extensions without
+  * building them, and the count goes to [[Sink.add]].
   * [[BfsEngine]], the Exp-5 comparison point, materialises every level.
   */
 sealed trait Operator

@@ -15,6 +15,17 @@ import repro.core._
   */
 final case class TaskEngineConfig(threads: Int, stealing: Boolean = true)
 
+/** Outcome of one matching run. `completed = false` means the deadline
+  * expired; `embeddings` is then a partial count (the paper counts timed-out
+  * queries at the full time limit).
+  */
+final case class RunOutcome(
+    embeddings: Long,
+    completed: Boolean,
+    elapsedNanos: Long,
+    counters: (Long, Long, Long), // (candidates, filtered, validated)
+)
+
 /** Per-worker accounting for the load-balancing experiment (Exp-6). */
 final case class WorkerStat(id: Int, busyNanos: Long, tasks: Long, steals: Long, stolenTasks: Long)
 
@@ -39,7 +50,9 @@ final case class TaskRunOutcome(
   * tasks go to the head and the worker pops from the head (LIFO — the
   * bounded-memory order of Theorem VI.1). An idle worker picks a random
   * victim and steals half of the victim's tasks from the *tail*, i.e. the
-  * oldest/shallowest embeddings carrying the most remaining work.
+  * oldest/shallowest embeddings carrying the most remaining work. With one
+  * worker there is nothing to steal and no pool: the worker's loop runs on
+  * the calling thread (this is [[SequentialEngine]]).
   *
   * The paper uses a Chase–Lev non-blocking deque; here each deque is an
   * `ArrayDeque` under a light `ReentrantLock` (tryLock on the thief side) —
@@ -86,8 +99,11 @@ object TaskEngine {
     }
   }
 
-  /** Run `plan` on a fresh pool of `config.threads` workers. If a sink or
-    * the expander throws, the run aborts and rethrows the first failure.
+  /** Run `plan` on `config.threads` workers: a fresh pool, or the calling
+    * thread alone when there is one worker. `seeds` replaces the SCAN with
+    * the given hyperedge ids of the scan partition (the Spark tier passes
+    * each task its share of them). If a sink or the expander throws, the
+    * run aborts and rethrows the first failure.
     */
   def run(
       tables: HyperedgeTables,
@@ -95,6 +111,7 @@ object TaskEngine {
       config: TaskEngineConfig,
       sink: Sink = new CountingSink,
       timeoutNanos: Long = Long.MaxValue,
+      seeds: Option[Array[Int]] = None,
   ): TaskRunOutcome = {
     require(config.threads >= 1, "need at least one thread")
     val t0 = System.nanoTime()
@@ -120,7 +137,7 @@ object TaskEngine {
     // worker receives an equal contiguous share of the firstly matched
     // hyperedges — the static coarse-grained distribution of Section VI-C
     // whose skew the work stealing then corrects.
-    val scanEdges = tables.edgesOf(plan.scanSignature)
+    val scanEdges = seeds.getOrElse(tables.edgesOf(plan.scanSignature))
     created.addAndGet(scanEdges.length.toLong)
     var si = 0
     while (si < scanEdges.length) {
@@ -137,95 +154,97 @@ object TaskEngine {
     val stolen = new Array[Long](p)
     val peakPerWorker = new Array[Long](p)
 
-    val threads = (0 until p).map { id =>
-      new Thread(() => {
-        val rnd = new Random(0x5eed + id)
-        val stealBuf = ArrayBuffer.empty[Array[Int]]
-        val slot = id * Stride
-        var localCompleted = 0L
-        var localPeak = 0L
+    def work(id: Int): Unit = {
+      val rnd = new Random(0x5eed + id)
+      val stealBuf = ArrayBuffer.empty[Array[Int]]
+      val slot = id * Stride
+      var localCompleted = 0L
+      var localPeak = 0L
 
-        def flush(): Unit =
-          if (localCompleted > 0) { completed.addAndGet(localCompleted); localCompleted = 0 }
+      def flush(): Unit =
+        if (localCompleted > 0) { completed.addAndGet(localCompleted); localCompleted = 0 }
 
-        val childBuf = ArrayBuffer.empty[Array[Int]]
+      val childBuf = ArrayBuffer.empty[Array[Int]]
 
-        def runTask(t: Array[Int]): Unit = {
-          qbytes.getAndAdd(slot, -taskBytes(t))
-          if (!abort.get()) {
-            val s = System.nanoTime()
-            try {
-              if (t.length == total) sink.consume(t) // T_SINK
-              else if (countLast && t.length == total - 1) sink.add(expander.countExtensions(t))
-              else { // T_EXPAND
-                childBuf.clear()
-                expander.expand(t)(childBuf += _)
-                if (childBuf.nonEmpty) {
-                  var spawnedBytes = 0L
-                  childBuf.foreach(c => spawnedBytes += taskBytes(c))
-                  created.addAndGet(childBuf.length.toLong) // before push
-                  val nowBytes = qbytes.addAndGet(slot, spawnedBytes)
-                  if (nowBytes > localPeak) localPeak = nowBytes
-                  childBuf.foreach(deques(id).push)
-                }
+      def runTask(t: Array[Int]): Unit = {
+        qbytes.getAndAdd(slot, -taskBytes(t))
+        if (!abort.get()) {
+          val s = System.nanoTime()
+          try {
+            if (t.length == total) sink.consume(t) // T_SINK
+            else if (countLast && t.length == total - 1) sink.add(expander.countExtensions(t))
+            else { // T_EXPAND
+              childBuf.clear()
+              expander.expand(t)(childBuf += _)
+              if (childBuf.nonEmpty) {
+                var spawnedBytes = 0L
+                childBuf.foreach(c => spawnedBytes += taskBytes(c))
+                created.addAndGet(childBuf.length.toLong) // before push
+                val nowBytes = qbytes.addAndGet(slot, spawnedBytes)
+                if (nowBytes > localPeak) localPeak = nowBytes
+                childBuf.foreach(deques(id).push)
               }
-            } catch {
-              // The task still counts as completed below, so every worker
-              // drains the remaining (now skipped) tasks and terminates.
-              case e: Throwable => failure.compareAndSet(null, e); abort.set(true)
             }
-            val now = System.nanoTime()
-            busy(id) += now - s
-            tasksRun(id) += 1
-            if (now > deadline) abort.set(true)
+          } catch {
+            // The task still counts as completed below, so every worker
+            // drains the remaining (now skipped) tasks and terminates.
+            case e: Throwable => failure.compareAndSet(null, e); abort.set(true)
           }
-          localCompleted += 1
-          if (localCompleted >= 64) flush()
+          val now = System.nanoTime()
+          busy(id) += now - s
+          tasksRun(id) += 1
+          if (now > deadline) abort.set(true)
         }
+        localCompleted += 1
+        if (localCompleted >= 64) flush()
+      }
 
-        var done = false
-        while (!done) {
-          val t = deques(id).pop()
-          if (t != null) runTask(t)
+      var done = false
+      while (!done) {
+        val t = deques(id).pop()
+        if (t != null) runTask(t)
+        else {
+          flush()
+          // Read `completed` BEFORE `created`: both are monotonic and a
+          // task is counted created before it is queued, so equality in
+          // this order proves nothing is queued or in flight.
+          val doneCount = completed.get()
+          if (created.get() == doneCount) done = true
           else {
-            flush()
-            // Read `completed` BEFORE `created`: both are monotonic and a
-            // task is counted created before it is queued, so equality in
-            // this order proves nothing is queued or in flight.
-            val doneCount = completed.get()
-            if (created.get() == doneCount) done = true
-            else {
-              var got = false
-              if (config.stealing && p > 1) {
-                // Random victim with a non-empty queue (Section VI-C).
-                var attempt = 0
-                while (!got && attempt < p) {
-                  val victim = rnd.nextInt(p)
-                  if (victim != id && deques(victim).size > 0) {
-                    stealBuf.clear()
-                    val movedBytes = deques(victim).stealHalf(stealBuf)
-                    if (stealBuf.nonEmpty) {
-                      steals(id) += 1; stolen(id) += stealBuf.length
-                      qbytes.getAndAdd(victim * Stride, -movedBytes)
-                      qbytes.getAndAdd(slot, movedBytes)
-                      stealBuf.foreach(deques(id).push)
-                      got = true
-                    }
+            var got = false
+            if (config.stealing && p > 1) {
+              // Random victim with a non-empty queue (Section VI-C).
+              var attempt = 0
+              while (!got && attempt < p) {
+                val victim = rnd.nextInt(p)
+                if (victim != id && deques(victim).size > 0) {
+                  stealBuf.clear()
+                  val movedBytes = deques(victim).stealHalf(stealBuf)
+                  if (stealBuf.nonEmpty) {
+                    steals(id) += 1; stolen(id) += stealBuf.length
+                    qbytes.getAndAdd(victim * Stride, -movedBytes)
+                    qbytes.getAndAdd(slot, movedBytes)
+                    stealBuf.foreach(deques(id).push)
+                    got = true
                   }
-                  attempt += 1
                 }
+                attempt += 1
               }
-              if (!got) LockSupport.parkNanos(10_000)
             }
+            if (!got) LockSupport.parkNanos(10_000)
           }
         }
-        flush()
-        peakPerWorker(id) = localPeak
-      }, s"hgmatch-worker-$id")
+      }
+      flush()
+      peakPerWorker(id) = localPeak
     }
 
-    threads.foreach(_.start())
-    threads.foreach(_.join())
+    if (p == 1) work(0)
+    else {
+      val threads = (0 until p).map(id => new Thread(() => work(id), s"hgmatch-worker-$id"))
+      threads.foreach(_.start())
+      threads.foreach(_.join())
+    }
     if (failure.get() != null) throw failure.get()
 
     val stats = (0 until p).map(id => WorkerStat(id, busy(id), tasksRun(id), steals(id), stolen(id)))

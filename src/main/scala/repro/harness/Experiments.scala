@@ -210,18 +210,13 @@ object Experiments {
   def heavyQueries(dataset: String, numEdges: Int, pool: Int, seed: Long): Seq[(Hypergraph, Plan, Long, Long)] = {
     val tables = Datasets.tables(dataset)
     val g = Datasets.graph(dataset)
-    val qs = QuerySampler.sampleChains(g, tables, numEdges, pool, seed)
-    val ranked = qs.map { q =>
+    def rank(qs: Seq[Hypergraph]): Seq[(Hypergraph, Plan, Long, Long)] = qs.map { q =>
       val p = Plan.generate(q, tables)
       val r = SequentialEngine.run(tables, p, timeoutNanos = 30_000_000_000L)
       (q, p, r.elapsedNanos, r.embeddings)
     }.sortBy(-_._4)
-    if (ranked.nonEmpty) ranked
-    else QuerySampler.sampleHeavy(g, tables, numEdges, pool, seed).map { q =>
-      val p = Plan.generate(q, tables)
-      val r = SequentialEngine.run(tables, p, timeoutNanos = 30_000_000_000L)
-      (q, p, r.elapsedNanos, r.embeddings)
-    }.sortBy(-_._4)
+    val ranked = rank(QuerySampler.sampleChains(g, tables, numEdges, pool, seed))
+    if (ranked.nonEmpty) ranked else rank(QuerySampler.sampleHeavy(g, tables, numEdges, pool, seed))
   }
 
   def exp4Scalability(

@@ -9,10 +9,11 @@ import repro.engine.{CollectingSink, CountingSink, SequentialEngine, Sink}
   * dataflow of Section VI with Spark distributing the SCAN.
   *
   * SCAN is a DataFrame stage over the cached `edges` frame. Each of its
-  * partitions becomes one Spark task that runs [[SequentialEngine]] over
-  * the broadcast [[HyperedgeTables]], seeded with the partition's edge ids:
-  * the paper's LIFO order inside each task, expanding through the same
-  * [[repro.engine.Expander]] as every local engine. Tasks share no work
+  * partitions becomes one Spark task that runs [[SequentialEngine]] (the
+  * one LIFO scheduler, [[repro.engine.TaskEngine]], at p = 1 on the task's
+  * thread) over the broadcast [[HyperedgeTables]], seeded with the
+  * partition's edge ids: the paper's LIFO order inside each task, expanding
+  * through the same [[repro.engine.Expander]] as every local engine. Tasks share no work
   * (there is no stealing across tasks), and the driver sums their counts.
   * This is the shape of BENU and HUGE: the whole index on every task, the
   * first-matched data hyperedges split across tasks, local backtracking.

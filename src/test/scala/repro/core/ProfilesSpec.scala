@@ -36,8 +36,8 @@ class ProfilesSpec extends AnyFunSuite {
   }
 
   test("key matches canonical Profile identity") {
-    val ps = Seq(Profile(1, Vector(0, 3)), Profile(1, Vector(0, 3)), Profile(0, Vector(2)))
-    val keys = ps.map(p => Profiles.key(p.label, p.positions))
+    val ps = Seq((1, Seq(0, 3)), (1, Seq(0, 3)), (0, Seq(2)))
+    val keys = ps.map { case (label, positions) => Profiles.key(label, positions) }
     assert(keys(0) == keys(1))
     assert(keys(0) != keys(2))
   }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** The allocating reference forms of Algorithms 4 and 5, kept with the
   * tests as the oracle the engines' packed hot path is checked against.
   */
@@ -14,48 +12,47 @@ object Reference {
     java.util.Arrays.copyOf(s.a, s.na)
   }
 
-  /** Observation V.5: the partial embedding extended with `candidate` must
-    * cover exactly |V(q')| distinct data vertices.
+  /** The multiset of vertex profiles, (label, positions of the first
+    * `n` entries of `hyperedges` containing the vertex), of the vertices of
+    * `hyperedges(n - 1)`.
     */
-  def vertexCountOk(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int], candidate: Int): Boolean = {
-    val g = tables.graph
-    val verts = mutable.HashSet.empty[Int]
-    var j = 0
-    while (j < step.pos) { g.edges(emb(j)).foreach(verts += _); j += 1 }
-    g.edges(candidate).foreach(verts += _)
-    verts.size == step.expectedVertexCount
+  private def profiles(g: Hypergraph, hyperedges: Seq[Int], n: Int): Map[(Int, IndexedSeq[Int]), Int] =
+    g.edges(hyperedges(n - 1)).toSeq
+      .map(v => (g.labels(v), (0 until n).filter(j => g.edges(hyperedges(j)).contains(v))))
+      .groupMapReduce(identity)(_ => 1)(_ + _)
+
+  private def vertexCount(g: Hypergraph, hyperedges: Seq[Int]): Int =
+    hyperedges.flatMap(e => g.edges(e)).distinct.size
+
+  /** Observation V.5: the partial embedding `emb` extended with `candidate`
+    * must cover as many distinct data vertices as the partial query it
+    * matches has query vertices (counted from `plan.query` here, not read
+    * from the plan's steps).
+    */
+  def vertexCountOk(tables: HyperedgeTables, plan: Plan, emb: Array[Int], candidate: Int): Boolean =
+    vertexCount(tables.graph, emb.toSeq :+ candidate) ==
+      vertexCount(plan.query, plan.order.toSeq.take(emb.length + 1))
+
+  /** Theorem V.2: the multiset of data-side profiles of the new hyperedge's
+    * vertices must equal the query-side multiset of the query hyperedge it
+    * matches. A profile is (label, order positions of the matched
+    * hyperedges containing the vertex, this step's included); the
+    * query side is computed from `plan.query` and `plan.order`.
+    */
+  def profilesOk(tables: HyperedgeTables, plan: Plan, emb: Array[Int], candidate: Int): Boolean = {
+    val n = emb.length + 1
+    profiles(tables.graph, emb.toSeq :+ candidate, n) == profiles(plan.query, plan.order.toSeq, n)
   }
 
-  /** Theorem V.2: multiset of data-side profiles of the new hyperedge's
-    * vertices must equal the plan's query-side profile multiset. A data
-    * vertex's profile is (label, sorted order-positions of the matched
-    * hyperedges containing it — including this step's).
-    */
-  def profilesOk(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int], candidate: Int): Boolean = {
-    val g = tables.graph
-    val dataProfiles = g.edges(candidate).toIndexedSeq.map { v =>
-      val positions = mutable.ArrayBuffer.empty[Int]
-      var p = 0
-      while (p < step.pos) {
-        if (SetOps.contains(g.edges(emb(p)), v)) positions += p
-        p += 1
-      }
-      positions += step.pos
-      Profile(g.labels(v), positions.toVector)
-    }
-    Profile.canon(dataProfiles) == step.expectedProfiles
-  }
-
-  /** Full Algorithm 5. The duplicate-edge reject is a fast path only: a
+  /** Full Algorithm 5 for extending `emb` by `candidate` at order position
+    * `emb.length`. The duplicate-edge reject is a fast path only: a
     * reused data hyperedge always fails the profile check (distinct query
     * hyperedges share at most a strict subset of their vertices, so some
     * query-side profile lacks the earlier position).
     */
-  def isValid(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int], candidate: Int): Boolean = {
-    var j = 0
-    while (j < step.pos) { if (emb(j) == candidate) return false; j += 1 }
-    vertexCountOk(tables, step, emb, candidate) && profilesOk(tables, step, emb, candidate)
-  }
+  def isValid(tables: HyperedgeTables, plan: Plan, emb: Array[Int], candidate: Int): Boolean =
+    !emb.contains(candidate) && vertexCountOk(tables, plan, emb, candidate) &&
+      profilesOk(tables, plan, emb, candidate)
 
   /** Embeddings of `plan` by brute force: every prefix is extended by every
     * hyperedge of the step's partition that passes [[isValid]]. Shares no
@@ -64,12 +61,9 @@ object Reference {
   def count(tables: HyperedgeTables, plan: Plan): Long = {
     def extend(emb: Array[Int]): Long =
       if (emb.length == plan.numEdges) 1L
-      else {
-        val step = plan.steps(emb.length - 1)
-        tables.edgesOf(step.signature).iterator
-          .filter(c => isValid(tables, step, emb, c))
-          .map(c => extend(emb :+ c)).sum
-      }
-    tables.edgesOf(plan.scanSignature).iterator.map(e => extend(Array(e))).sum
+      else tables.edgesOf(plan.query.signature(plan.order(emb.length))).iterator
+        .filter(c => isValid(tables, plan, emb, c))
+        .map(c => extend(emb :+ c)).sum
+    extend(Array.emptyIntArray)
   }
 }

@@ -9,20 +9,26 @@ class ValidationSpec extends AnyFunSuite {
   private val q = Hypergraph.fig1Query
   private val plan = Plan.fromOrder(q, Array(0, 1, 2))
 
+  /** The packed query-side profile of `u` after order position `pos`,
+    * computed from the query rather than read from the plan.
+    */
+  private def queryKey(p: Plan, pos: Int, u: Int): Long =
+    Profiles.key(p.query.labels(u), (0 to pos).filter(j => p.query.edges(p.order(j)).contains(u)))
+
   test("fig1: extending (e1) with e3 is valid") {
-    assert(Reference.isValid(t, plan.steps(0), Array(0), 2))
+    assert(Reference.isValid(t, plan, Array(0), 2))
   }
 
   test("fig1: extending (e1) with e4 is invalid (no shared vertex)") {
-    assert(!Reference.isValid(t, plan.steps(0), Array(0), 3))
+    assert(!Reference.isValid(t, plan, Array(0), 3))
   }
 
   test("fig1: extending (e1,e3) with e5 completes a valid embedding") {
-    assert(Reference.isValid(t, plan.steps(1), Array(0, 2), 4))
+    assert(Reference.isValid(t, plan, Array(0, 2), 4))
   }
 
   test("fig1: extending (e1,e3) with e6 is invalid") {
-    assert(!Reference.isValid(t, plan.steps(1), Array(0, 2), 5))
+    assert(!Reference.isValid(t, plan, Array(0, 2), 5))
   }
 
   test("vertex-count check (Obs V.5) rejects over-overlapping candidates") {
@@ -31,7 +37,7 @@ class ValidationSpec extends AnyFunSuite {
     val data = Hypergraph(Seq(0, 0), Seq(Seq(0, 1))) // single edge reused is rejected
     val tb = HyperedgeTables.build(data)
     val p = Plan.fromOrder(query, Array(0, 1))
-    assert(!Reference.isValid(tb, p.steps(0), Array(0), 0)) // duplicate edge
+    assert(!Reference.isValid(tb, p, Array(0), 0)) // duplicate edge
   }
 
   test("duplicate data hyperedge always rejected, fast path or not") {
@@ -39,8 +45,8 @@ class ValidationSpec extends AnyFunSuite {
     val data = Hypergraph(Seq(0, 0, 0), Seq(Seq(0, 1), Seq(1, 2)))
     val tb = HyperedgeTables.build(data)
     val p = Plan.fromOrder(query, Array(0, 1))
-    assert(Reference.isValid(tb, p.steps(0), Array(0), 1))
-    assert(!Reference.isValid(tb, p.steps(0), Array(0), 0))
+    assert(Reference.isValid(tb, p, Array(0), 1))
+    assert(!Reference.isValid(tb, p, Array(0), 0))
   }
 
   test("profile check rejects wrong overlap pattern despite right count") {
@@ -56,8 +62,8 @@ class ValidationSpec extends AnyFunSuite {
     val data = Hypergraph(Seq(0, 1, 0, 1), Seq(Seq(0, 1), Seq(2, 3), Seq(1, 2)))
     val tb = HyperedgeTables.build(data)
     val p = Plan.fromOrder(query, Array(0, 1))
-    assert(!Reference.isValid(tb, p.steps(0), Array(0), 1)) // disjoint
-    assert(Reference.isValid(tb, p.steps(0), Array(0), 2))  // overlap at B
+    assert(!Reference.isValid(tb, p, Array(0), 1)) // disjoint
+    assert(Reference.isValid(tb, p, Array(0), 2))  // overlap at B
   }
 
   test("profile check distinguishes which endpoint overlaps") {
@@ -68,13 +74,13 @@ class ValidationSpec extends AnyFunSuite {
     // d1 = {0,2} labels {A,B} — shares the A vertex with d0 instead of B.
     val tb = HyperedgeTables.build(data)
     val p = Plan.fromOrder(query, Array(0, 1))
-    assert(!Reference.isValid(tb, p.steps(0), Array(0), 1))
+    assert(!Reference.isValid(tb, p, Array(0), 1))
   }
 
   test("vertexCountOk and profilesOk are independently callable") {
-    assert(Reference.vertexCountOk(t, plan.steps(0), Array(0), 2))
-    assert(Reference.profilesOk(t, plan.steps(0), Array(0), 2))
-    assert(!Reference.profilesOk(t, plan.steps(0), Array(0), 3))
+    assert(Reference.vertexCountOk(t, plan, Array(0), 2))
+    assert(Reference.profilesOk(t, plan, Array(0), 2))
+    assert(!Reference.profilesOk(t, plan, Array(0), 3))
   }
 
   test("packed-key fast path agrees with the reference Algorithm 5") {
@@ -92,7 +98,7 @@ class ValidationSpec extends AnyFunSuite {
           frontier.foreach { emb =>
             val keys = new Array[Long](step.signature.arity)
             Reference.candidates(tb, step, emb).foreach { c =>
-              val slow = Reference.isValid(tb, step, emb, c)
+              val slow = Reference.isValid(tb, p, emb, c)
               val dup = emb.contains(c)
               val fresh = Validation.profileKeys(tb, step, emb, c, keys)
               val fast = !dup && Validation.freshCountOk(step, fresh) &&
@@ -111,10 +117,10 @@ class ValidationSpec extends AnyFunSuite {
     assert(plan.steps(0).newVertexCount == 2) // u0, u1 join at step 1
     assert(plan.steps(1).newVertexCount == 1) // u3 joins at step 2
     plan.steps.foreach { s =>
-      assert(s.expectedProfileKeys.length == s.expectedProfiles.length)
+      val keys = q.edges(s.queryEdge).toSeq.map(queryKey(plan, s.pos, _))
+      assert(s.expectedProfileKeys.length == keys.length)
       assert(s.expectedProfileKeys.toSeq == s.expectedProfileKeys.toSeq.sorted)
-      assert(s.expectedProfileKeys.toSet ==
-        s.expectedProfiles.map(p => Profiles.key(p.label, p.positions)).toSet)
+      assert(s.expectedProfileKeys.toSet == keys.toSet)
     }
   }
 
@@ -127,8 +133,8 @@ class ValidationSpec extends AnyFunSuite {
       Seq(Seq(0, 1), Seq(1, 2), Seq(0, 1, 2), Seq(0, 2, 3)))
     val tb = HyperedgeTables.build(data)
     val p = Plan.fromOrder(query, Array(0, 1, 2))
-    assert(Reference.isValid(tb, p.steps(1), Array(0, 1), 2))
-    assert(!Reference.isValid(tb, p.steps(1), Array(0, 1), 3))
+    assert(Reference.isValid(tb, p, Array(0, 1), 2))
+    assert(!Reference.isValid(tb, p, Array(0, 1), 3))
   }
 
   /** Every candidate of the step's partition (not only Algorithm 4's),
@@ -142,7 +148,7 @@ class ValidationSpec extends AnyFunSuite {
     val masks = new VertexMasks
     masks.load(tb.graph, emb, step.pos)
     tb.edgesOf(step.signature).foreach { c =>
-      val reference = Reference.profilesOk(tb, step, emb, c)
+      val reference = Reference.profilesOk(tb, p, emb, c)
       val fresh = Validation.profileKeys(tb, step, emb, c, keys)
       assert(Validation.profileKeysOk(step, keys, arity) == reference, s"$ctx emb=${emb.toSeq} c=$c")
       assert(Validation.sharedProfileKeys(tb, step, masks, c, keys) == fresh, s"$ctx emb=${emb.toSeq} c=$c")
@@ -163,7 +169,7 @@ class ValidationSpec extends AnyFunSuite {
           frontier.foreach(emb => assertSharedKeysAgree(tb, p, emb, s"seed=$seed labels=$labels"))
           checked += frontier.length
           frontier = frontier.flatMap(emb =>
-            tb.edgesOf(step.signature).filter(c => Reference.isValid(tb, step, emb, c)).map(emb :+ _))
+            tb.edgesOf(step.signature).filter(c => Reference.isValid(tb, p, emb, c)).map(emb :+ _))
         }
       }
     }
@@ -182,10 +188,10 @@ class ValidationSpec extends AnyFunSuite {
     val emb = Array(0, 1)
     val keys = new Array[Long](2)
     val fresh = Validation.profileKeys(tb, step, emb, 2, keys)
-    assert(Validation.freshCountOk(step, fresh) && Reference.vertexCountOk(tb, step, emb, 2))
-    assert(!Validation.profileKeysOk(step, keys, 2) && !Reference.profilesOk(tb, step, emb, 2))
+    assert(Validation.freshCountOk(step, fresh) && Reference.vertexCountOk(tb, p, emb, 2))
+    assert(!Validation.profileKeysOk(step, keys, 2) && !Reference.profilesOk(tb, p, emb, 2))
     assertSharedKeysAgree(tb, p, emb, "positions")
-    assert(Reference.isValid(tb, step, emb, 3)) // d3{0,3} shares v0, in d0 only
+    assert(Reference.isValid(tb, p, emb, 3)) // d3{0,3} shares v0, in d0 only
     // Same shape by label: the shared vertex carries the wrong label.
     val q2 = Hypergraph(Seq(0, 1, 0), Seq(Seq(0, 1), Seq(1, 2)))
     val d2 = Hypergraph(Seq(0, 1, 1), Seq(Seq(0, 1), Seq(0, 2)))
@@ -199,8 +205,9 @@ class ValidationSpec extends AnyFunSuite {
 
   test("expectedSharedKeys are the sorted expected keys of the shared vertices") {
     plan.steps.foreach { s =>
-      val shared = s.expectedProfiles.filter(_.positions != Vector(s.pos))
-      assert(s.expectedSharedKeys.toSeq == shared.map(p => Profiles.key(p.label, p.positions)).sorted)
+      val earlier = (0 until s.pos).flatMap(j => q.edges(plan.order(j))).toSet
+      val shared = q.edges(s.queryEdge).toSeq.filter(earlier)
+      assert(s.expectedSharedKeys.toSeq == shared.map(queryKey(plan, s.pos, _)).sorted)
       assert(s.expectedSharedKeys.length == s.signature.arity - s.newVertexCount)
     }
   }

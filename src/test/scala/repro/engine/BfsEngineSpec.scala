@@ -23,13 +23,13 @@ class BfsEngineSpec extends AnyFunSuite {
     }
   }
 
-  test("agrees with sequential engine on random workloads") {
+  test("agrees with the brute-force reference on random workloads") {
     for (seed <- 1 to 12) {
       val data = TestGraphs.random(20, 30, 2, 4, seed)
       val tb = HyperedgeTables.build(data)
       TestGraphs.sampleQuery(data, 3, seed * 3).foreach { query =>
         val p = Plan.generate(query, tb)
-        val expected = SequentialEngine.run(tb, p).embeddings
+        val expected = Reference.count(tb, p)
         for (threads <- Seq(1, 3)) {
           assert(BfsEngine.run(tb, p, threads).outcome.embeddings == expected,
             s"seed=$seed threads=$threads")
@@ -79,5 +79,20 @@ class BfsEngineSpec extends AnyFunSuite {
       val r = BfsEngine.run(tb, Plan.generate(query, tb), timeoutNanos = 1L)
       assert(!r.outcome.completed)
     }
+  }
+
+  test("a timeout in the last level reports the embeddings completed so far") {
+    // A 2-edge query has one EXPAND level; with a 1 ns deadline the
+    // single-thread BFS stops after expanding the first scan edge.
+    val data = TestGraphs.random(25, 60, 2, 4, 77)
+    val tb = HyperedgeTables.build(data)
+    val query = TestGraphs.sampleQuery(data, 2, 99).get
+    val p = Plan.generate(query, tb)
+    val first = tb.edgesOf(p.scanSignature)(0)
+    val expected = TaskEngine.run(tb, p, TaskEngineConfig(1), seeds = Some(Array(first))).outcome.embeddings
+    assert(expected > 0 && tb.edgesOf(p.scanSignature).length > 1) // precondition
+    val r = BfsEngine.run(tb, p, timeoutNanos = 1L)
+    assert(!r.outcome.completed && !r.memoryExceeded)
+    assert(r.outcome.embeddings == expected)
   }
 }

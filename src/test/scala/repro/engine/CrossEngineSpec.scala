@@ -8,8 +8,9 @@ import repro.core._
 /** The system-wide agreement property: for random data hypergraphs and
   * random-walk queries, every engine in the repo — sequential, task(p),
   * BFS, match-by-vertex (three orders, deduped), and RapidMatch-H — must
-  * report the same number of hyperedge-tuple embeddings. The Spark engine
-  * joins this property in HGMatchSparkSpec (it needs a session).
+  * report the brute-force [[Reference.count]], which shares no candidate
+  * generation with the engines. The Spark engine joins this property in
+  * HGMatchSparkSpec (it needs a session).
   */
 class CrossEngineSpec extends AnyFunSuite {
 
@@ -19,7 +20,8 @@ class CrossEngineSpec extends AnyFunSuite {
     val idx = new IHSIndex(data)
     TestGraphs.sampleQuery(data, k, seed * 17).foreach { query =>
       val plan = Plan.generate(query, tb)
-      val expected = SequentialEngine.run(tb, plan).embeddings
+      val expected = Reference.count(tb, plan)
+      assert(SequentialEngine.run(tb, plan).embeddings == expected, s"sequential seed=$seed")
       assert(TaskEngine.run(tb, plan, TaskEngineConfig(3)).outcome.embeddings == expected, s"task seed=$seed")
       assert(BfsEngine.run(tb, plan, threads = 2).outcome.embeddings == expected, s"bfs seed=$seed")
       for (algo <- Seq(Baselines.CFLH, Baselines.DAFH, Baselines.CECIH)) {

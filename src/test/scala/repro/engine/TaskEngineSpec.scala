@@ -56,7 +56,10 @@ class TaskEngineSpec extends AnyFunSuite with TimeLimits {
       val tb = HyperedgeTables.build(data)
       TestGraphs.sampleQuery(data, 3, seed * 3).foreach { query =>
         val p = Plan.generate(query, tb)
+        // SequentialEngine is TaskEngine at p = 1, so it is also held to
+        // the brute-force recount.
         val expected = SequentialEngine.run(tb, p).embeddings
+        assert(expected == Reference.count(tb, p), s"seed=$seed sequential")
         for (threads <- Seq(1, 2, 4, 7); stealing <- Seq(true, false)) {
           val r = TaskEngine.run(tb, p, TaskEngineConfig(threads, stealing))
           assert(r.outcome.embeddings == expected,
@@ -103,8 +106,7 @@ class TaskEngineSpec extends AnyFunSuite with TimeLimits {
     TestGraphs.sampleQuery(data, 3, 7).foreach { query =>
       val p = Plan.generate(query, tb)
       val r = TaskEngine.run(tb, p, TaskEngineConfig(4))
-      val seq = SequentialEngine.run(tb, p)
-      assert(r.outcome.embeddings == seq.embeddings)
+      assert(r.outcome.embeddings == Reference.count(tb, p))
       // at least the result is right; steal counters are observable
       assert(r.workers.map(_.steals).sum >= 0)
     }
@@ -132,10 +134,38 @@ class TaskEngineSpec extends AnyFunSuite with TimeLimits {
     val tb = HyperedgeTables.build(data)
     val query = TestGraphs.sampleQuery(data, 3, 99).get
     val p = Plan.generate(query, tb)
-    assert(SequentialEngine.run(tb, p).embeddings > 10) // precondition: work left after the failure
+    assert(Reference.count(tb, p) > 10) // precondition: work left after the failure
     failAfter(30.seconds) {
       val e = intercept[IllegalStateException](TaskEngine.run(tb, p, TaskEngineConfig(4), new ThrowingSink(5)))
       assert(e.getMessage == "sink failed")
+    }
+  }
+
+  test("a 1-worker run sinks on the calling thread") {
+    val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    val sink = new Sink {
+      private val n = new AtomicLong
+      def consume(emb: Array[Int]): Unit = { threads.add(Thread.currentThread()); n.incrementAndGet() }
+      def count: Long = n.get()
+    }
+    val r = TaskEngine.run(t, plan, TaskEngineConfig(1), sink)
+    assert(r.outcome.embeddings == 2)
+    assert(threads.size == 1 && threads.contains(Thread.currentThread()))
+  }
+
+  test("seeds split into two halves give counts that sum to the unseeded count") {
+    val data = TestGraphs.random(25, 60, 2, 4, 77)
+    val tb = HyperedgeTables.build(data)
+    val query = TestGraphs.sampleQuery(data, 3, 99).get
+    val p = Plan.generate(query, tb)
+    val scan = tb.edgesOf(p.scanSignature)
+    val (left, right) = scan.splitAt(scan.length / 2)
+    assert(left.nonEmpty && right.nonEmpty)
+    for (threads <- Seq(1, 3)) {
+      def seeded(s: Array[Int]) = TaskEngine.run(tb, p, TaskEngineConfig(threads), seeds = Some(s)).outcome.embeddings
+      val all = TaskEngine.run(tb, p, TaskEngineConfig(threads)).outcome.embeddings
+      assert(all == Reference.count(tb, p))
+      assert(seeded(left) + seeded(right) == all, s"threads=$threads")
     }
   }
 
