@@ -33,13 +33,17 @@ object CandidateGen {
     * within-pair union), then merged into the running intersection in
     * place — no per-call allocations beyond buffer growth. The per-vertex
     * partial-embedding degree (Obs V.4) and V_n_incdt membership (Obs
-    * V.3) come from the vertex's position mask.
+    * V.3) come from the vertex's position mask. The step's partition is
+    * resolved once per call; each V_incdt vertex then costs a binary
+    * search over its few runs and one copy of he(v, S(e_q)).
     */
   def candidatesInto(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int],
                      scratch: Scratch): Unit = {
     val g = tables.graph
     scratch.masks.load(g, emb, step.pos)
     scratch.na = 0
+    val pid = tables.partitionId(step.signature)
+    if (pid < 0) return // no data hyperedge has the signature
     var k = 0
     while (k < step.pairs.length) {
       val p = step.pairs(k)
@@ -53,10 +57,14 @@ object CandidateGen {
         if (g.labels(v) == p.label) {
           val m = scratch.masks.get(v)
           if ((m & step.nonAdjMask) == 0L && java.lang.Long.bitCount(m) == p.degInPartial) {
-            val post = tables.incident(v, step.signature)
-            scratch.ensureB(nb + post.length)
-            System.arraycopy(post, 0, scratch.b, nb, post.length)
-            nb += post.length
+            val r = tables.runOf(v, pid)
+            if (r >= 0) {
+              val from = tables.runStart(r)
+              val len = tables.runStart(r + 1) - from
+              scratch.ensureB(nb + len)
+              System.arraycopy(tables.postings, from, scratch.b, nb, len)
+              nb += len
+            }
           }
         }
         i += 1

@@ -51,10 +51,6 @@ final class Hypergraph private (
   /** Degree of vertex `v` — |he(v)|. */
   def degree(v: Int): Int = incidence(v).length
 
-  /** Incident hyperedges of `v` with arity `a` — he^a(v). */
-  def incidentWithArity(v: Int, a: Int): Array[Int] =
-    incidence(v).filter(e => arity(e) == a)
-
   /** Signature of hyperedge `e`. */
   def signature(e: Int): Signature = signatures(e)
 

@@ -91,6 +91,8 @@ object Plan {
     * permutation of E(q) — Section V-A notes HGMatch works with any).
     * Rejects an order with a disconnected prefix: a step with no
     * Algorithm-4 pair has no candidates, so it would silently count 0.
+    * Rejects a query vertex in no hyperedge: no hyperedge maps it, so the
+    * engines would count embeddings that leave it unmatched.
     */
   def fromOrder(query: Hypergraph, order: Array[Int]): Plan = {
     require(order.sorted.sameElements(0 until query.numEdges), "order must permute E(q)")
@@ -98,6 +100,8 @@ object Plan {
     val steps = (1 until order.length).map(i => stepAt(query, order, i)).toArray
     require(steps.forall(_.pairs.nonEmpty),
       s"every prefix of the order ${order.mkString("[", ",", "]")} must be connected")
+    require(query.incidence.forall(_.nonEmpty),
+      "every query vertex must lie in a hyperedge: an embedding maps hyperedges, so a vertex in none is never matched")
     Plan(query, order, query.signature(order(0)), steps)
   }
 

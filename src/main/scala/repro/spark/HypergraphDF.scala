@@ -11,8 +11,10 @@ import repro.core.{HyperedgeTables, Hypergraph}
   *    is the signature key, so `edges.where($"sig" === s)` is the partition
   *    scan of Section IV-B (hyperedge tables keyed by signature) that
   *    distributes SCAN
-  *  - `tables` — the [[HyperedgeTables]] (tables, inverted index and Card(·)
-  *    metadata), broadcast once so every task expands against a local copy
+  *  - `tables` — the [[HyperedgeTables]] (tables, Card(·) metadata and the
+  *    inverted index as one per-vertex CSR, where he(v, s) is one run of
+  *    ascending edge ids), broadcast once so every task expands against a
+  *    local copy
   *  - `vertices(vid, label)` and `inverted(vid, sig, eid)` — uncached
   *    relational views of the labels and of the inverted index of IV-C
   */

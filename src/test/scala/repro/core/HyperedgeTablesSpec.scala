@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.{HgConfig, HypergraphGen}
 
 class HyperedgeTablesSpec extends AnyFunSuite {
 
@@ -27,22 +28,25 @@ class HyperedgeTablesSpec extends AnyFunSuite {
     assert(t.edgesOf(sigAABC).toSeq == Seq(4, 5))
   }
 
+  private def incident(v: Int, sig: Signature): Array[Int] = Reference.incident(t, v, sig)
+
   test("Table I: inverted index posting lists ascend") {
-    t.partitions.values.foreach { p =>
-      p.inverted.values.foreach(pl => assert(pl.toSeq == pl.toSeq.sorted))
+    for (v <- 0 until h.numVertices; sig <- t.partitions.keys) {
+      val pl = incident(v, sig).toSeq
+      assert(pl == pl.sorted.distinct)
     }
   }
 
   test("Table I: inverted index of partition 3 (Example V.1 lookups)") {
-    assert(t.incident(0, sigAABC).toSeq == Seq(4)) // he(v0, s) = {e5}
-    assert(t.incident(1, sigAABC).toSeq == Seq(4))
-    assert(t.incident(4, sigAABC).toSeq == Seq(4))
-    assert(t.incident(5, sigAABC).toSeq == Seq(5))
+    assert(incident(0, sigAABC).toSeq == Seq(4)) // he(v0, s) = {e5}
+    assert(incident(1, sigAABC).toSeq == Seq(4))
+    assert(incident(4, sigAABC).toSeq == Seq(4))
+    assert(incident(5, sigAABC).toSeq == Seq(5))
   }
 
   test("incident returns empty for unknown vertex or signature") {
-    assert(t.incident(0, sigAB).isEmpty)        // v0 not in any {A,B} edge
-    assert(t.incident(0, Signature.of(Seq(7))).isEmpty)
+    assert(incident(0, sigAB).isEmpty)        // v0 not in any {A,B} edge
+    assert(incident(0, Signature.of(Seq(7))).isEmpty)
   }
 
   test("cardinality is the partition row count (Def V.2)") {
@@ -59,7 +63,7 @@ class HyperedgeTablesSpec extends AnyFunSuite {
 
   test("posting lists cover exactly the incidences of the partition") {
     t.partitions.foreach { case (sig, p) =>
-      val fromPostings = p.inverted.toSeq.flatMap { case (v, es) => es.map(e => (v, e)) }.toSet
+      val fromPostings = (0 until h.numVertices).flatMap(v => incident(v, sig).map(e => (v, e))).toSet
       val fromEdges = p.edgeIds.flatMap(e => h.edges(e).map(v => (v, e))).toSet
       assert(fromPostings == fromEdges, s"partition $sig")
     }
@@ -72,8 +76,36 @@ class HyperedgeTablesSpec extends AnyFunSuite {
 
   test("index size counts each edge a(e) times (Section IV-C analysis)") {
     // every incidence appears once in a posting list
-    val postingEntries = t.partitions.values.flatMap(_.inverted.values.map(_.length)).sum
+    val postingEntries = (for (v <- 0 until h.numVertices; sig <- t.partitions.keys.toSeq) yield incident(v, sig).length).sum
     assert(postingEntries == 18)
+  }
+
+  test("indexBytes counts the four CSR arrays, 4 bytes per entry") {
+    val entries = t.runOff.length + t.runPart.length + t.runStart.length + t.postings.length
+    assert(t.indexBytes == 4L * entries)
+    // |V|+1 offsets, one run per (vertex, partition) pair plus the end, Σa(e) postings
+    val runs = (0 until h.numVertices).map(v => h.incidence(v).map(h.signature).distinct.length).sum
+    assert(entries == (h.numVertices + 1) + runs + (runs + 1) + 18)
+  }
+
+  test("incident(v, s) is he(v) restricted to signature s on generated graphs") {
+    for (seed <- 1L to 8L) {
+      val gen = HypergraphGen.generate(HgConfig("prop", numVertices = 60, numEdges = 90,
+        numLabels = 4, maxArity = 6, meanArity = 3.0, labelCoherence = 0.5, seed = seed))
+      // One more vertex, in no hyperedge.
+      val g = Hypergraph(gen.labels.toSeq :+ 0, gen.edges.toSeq.map(_.toSeq))
+      assert(g.incidence(g.numVertices - 1).isEmpty)
+      val tg = HyperedgeTables.build(g)
+      val absent = Signature.of(Seq(99))
+      assert(tg.partitionId(absent) == -1)
+      for (v <- 0 until g.numVertices) {
+        assert(Reference.incident(tg, v, absent).isEmpty)
+        tg.partitions.keys.foreach { sig =>
+          assert(Reference.incident(tg, v, sig).toSeq == g.incidence(v).filter(g.signature(_) == sig).toSeq,
+            s"seed $seed v$v $sig")
+        }
+      }
+    }
   }
 
   test("index and storage sizes are the same order (Exp-1 observation)") {

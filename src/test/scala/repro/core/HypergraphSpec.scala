@@ -55,12 +55,6 @@ class HypergraphSpec extends AnyFunSuite {
     assert(h.degree(3) == 1)
   }
 
-  test("incidentWithArity he^a(v)") {
-    assert(h.incidentWithArity(2, 2).toSeq == Seq(0))
-    assert(h.incidentWithArity(2, 3).toSeq == Seq(2))
-    assert(h.incidentWithArity(2, 4).isEmpty)
-  }
-
   test("adjacent vertices") {
     assert(h.adjacentVertices(2).toSeq == Seq(0, 1, 4))
     assert(q.adjacentVertices(2).toSeq == Seq(0, 1, 4))

@@ -88,6 +88,13 @@ class PlanSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](Plan.fromOrder(query, Array(1, 0)))
   }
 
+  test("queries with a vertex in no hyperedge are rejected by generate and fromOrder") {
+    // Vertex 2 is in no hyperedge, so no embedding of the {A,B} edge maps it.
+    val query = Hypergraph(Seq(0, 1, 7), Seq(Seq(0, 1)))
+    assertThrows[IllegalArgumentException](Plan.generate(query, t))
+    assertThrows[IllegalArgumentException](Plan.fromOrder(query, Array(0)))
+  }
+
   test("fromOrder rejects an order with a disconnected prefix") {
     // chain3 is connected, but e2 shares no vertex with e0.
     assertThrows[IllegalArgumentException](Plan.fromOrder(QueryFixtures.chain3, Array(0, 2, 1)))

@@ -5,6 +5,16 @@ package repro.core
   */
 object Reference {
 
+  /** he(v, s), copied out of the index's run for `v` and the partition of
+    * `sig`; empty if `v` lies in no hyperedge with signature `sig`.
+    */
+  def incident(tables: HyperedgeTables, v: Int, sig: Signature): Array[Int] = {
+    val pid = tables.partitionId(sig)
+    val r = if (pid < 0) -1 else tables.runOf(v, pid)
+    if (r < 0) SetOps.empty
+    else java.util.Arrays.copyOfRange(tables.postings, tables.runStart(r), tables.runStart(r + 1))
+  }
+
   /** Algorithm 4, allocating form: the candidates of `step` for `emb`. */
   def candidates(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int]): Array[Int] = {
     val s = new CandidateGen.Scratch

@@ -45,6 +45,20 @@ class HGMatchSparkSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](HGMatchSpark.countEmbeddings(spark, hdf, query))
   }
 
+  test("query vertex in no hyperedge is rejected, not answered with a wrong count") {
+    import spark.implicits._
+    // Vertex 2 (label 7) lies in no hyperedge and no data vertex has label 7:
+    // DuckDB counts 0, while matching the one {A,B} edge alone would give 2.
+    val query = Hypergraph(Seq(0, 1, 7), Seq(Seq(0, 1)))
+    repro.Oracle.assertEquivalent(
+      Seq(0L).toDF("embeddings"),
+      MatchOracle.countSql(query),
+      "verts" -> MatchOracle.vertsDf(spark, h),
+      "edges" -> MatchOracle.edgesDf(spark, h),
+    )
+    assertThrows[IllegalArgumentException](HGMatchSpark.countEmbeddings(spark, hdf, query))
+  }
+
   test("single-hyperedge query is a pure SCAN") {
     val query = Hypergraph(Seq(0, 1), Seq(Seq(0, 1)))
     assert(HGMatchSpark.countEmbeddings(spark, hdf, query) == 2)
