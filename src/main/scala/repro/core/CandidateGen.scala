@@ -9,9 +9,11 @@ object CandidateGen {
 
   /** Reusable per-thread buffers for the hot path: the running
     * intersection `a`, the per-pair gather buffer `b`, and the prefix's
-    * vertex profiles `masks`, which [[Validation.sharedProfileKeys]] reads
-    * after candidate generation. One [[Scratch]] per worker thread;
-    * `candidatesInto` is reentrancy-free.
+    * vertex profiles `masks` (a dense array over the data vertices), which
+    * [[Validation.sharedProfileKeys]] reads after candidate generation. One
+    * [[Scratch]] per worker thread, kept across runs and graphs (the
+    * engines' is [[repro.engine.Expander]]'s); `candidatesInto` is
+    * reentrancy-free.
     */
   final class Scratch {
     var a: Array[Int] = new Array[Int](256)

@@ -20,8 +20,9 @@ final case class PairSpec(prevPos: Int, label: Int, degInPartial: Int) extends S
   * @param queryEdge          query hyperedge id matched at this step
   * @param pos                0-based position in the matching order
   * @param signature          S(e_q) — selects the hyperedge table to probe
-  * @param pairs              Algorithm-4 candidate pairs (never empty:
-  *                           [[Plan.fromOrder]] requires a connected order)
+  * @param pairs              distinct Algorithm-4 candidate pairs (never
+  *                           empty: [[Plan.fromOrder]] requires a
+  *                           connected order)
   * @param nonAdjPrevPos      positions of previously matched hyperedges
   *                           non-adjacent to `queryEdge` (their matched
   *                           vertices form V_n_incdt, Algorithm 4 line 1)
@@ -135,7 +136,7 @@ object Plan {
       queryEdge = eq,
       pos = i,
       signature = query.signature(eq),
-      pairs = pairs.toArray,
+      pairs = pairs.distinct.toArray, // equal pairs gather the same set
       nonAdjPrevPos = nonAdj.toArray,
       newVertexCount = eqVerts.count(degBefore(_) == 0),
       expectedProfileKeys = profileKeys,

@@ -7,9 +7,10 @@ import repro.core._
   * SCAN(e₁) → EXPAND(e₂) → … → EXPAND(eₙ) → SINK. Operators here are
   * descriptive; the engines interpret them ([[TaskEngine]], whose
   * one-worker form is [[SequentialEngine]], and [[BfsEngine]]), all
-  * expanding through [[Expander]]. The Spark tier runs SCAN as a DataFrame
-  * stage and EXPAND* → SINK as one [[SequentialEngine]] run (the task
-  * engine at p = 1 on the Spark task's thread) per SCAN partition.
+  * expanding through [[Expander]]. The Spark tier splits the SCAN's
+  * hyperedges across Spark tasks and runs EXPAND* → SINK as one
+  * [[SequentialEngine]] run (the task engine at p = 1 on the Spark task's
+  * thread) per slice.
   *
   * SINK is the paper's I/O-free counter. When the sink only counts
   * ([[Sink.countOnly]]), the task engine fuses the last EXPAND into it: a
@@ -77,20 +78,20 @@ final class MatchCounters {
 
 /** One EXPAND application shared by every engine: generate candidates,
   * validate, emit extensions, maintain counters. Scratch buffers are
-  * per-thread, so one Expander serves all workers allocation-free (bar
-  * the emitted embeddings themselves). The counters are updated once per
-  * expansion.
+  * per-thread and belong to `object Expander`, so one Expander serves all
+  * workers allocation-free (bar the emitted embeddings themselves), and a
+  * thread's scratch, the dense vertex-mask array included, outlives the run
+  * (later runs on that thread, such as the Spark tasks of one executor
+  * thread, reuse it). The counters are updated once per expansion.
+  *
+  * An `emit` callback must not re-enter an Expander on the same thread:
+  * every Expander on a thread shares that thread's scratch. The engines
+  * only queue what `emit` hands them.
   */
 final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounters) {
 
   private val maxArity: Int =
     if (plan.steps.isEmpty) 1 else plan.steps.iterator.map(_.signature.arity).max
-
-  private final class Local {
-    val scratch = new CandidateGen.Scratch
-    val keys = new Array[Long](maxArity)
-  }
-  private val locals = ThreadLocal.withInitial[Local](() => new Local)
 
   /** Expand `emb` (length = current position) by the next query hyperedge,
     * emitting each valid extension as a new array.
@@ -109,10 +110,11 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
     */
   private def extend(emb: Array[Int], emit: Array[Int] => Unit): Long = {
     val step = plan.steps(emb.length - 1)
-    val local = locals.get()
+    val local = Expander.locals.get()
     val scratch = local.scratch
     CandidateGen.candidatesInto(tables, step, emb, scratch)
     val arity = step.signature.arity // candidates carry S(e_q), same arity
+    if (local.keys.length < maxArity) local.keys = new Array[Long](maxArity)
     val keys = local.keys
     var filtered = 0L
     var valid = 0L
@@ -143,4 +145,12 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
     counters.validated.add(valid)
     valid
   }
+}
+
+object Expander {
+  private final class Local {
+    val scratch = new CandidateGen.Scratch
+    var keys = new Array[Long](0) // grown to the expanding plan's largest arity
+  }
+  private val locals = ThreadLocal.withInitial[Local](() => new Local)
 }

@@ -7,16 +7,18 @@ import repro.core.{HyperedgeTables, Hypergraph}
 
 /** An indexed data hypergraph on Spark (Section IV):
   *
-  *  - `edges(eid, sig, vids, labs)` — one row per hyperedge, cached; `sig`
-  *    is the signature key, so `edges.where($"sig" === s)` is the partition
-  *    scan of Section IV-B (hyperedge tables keyed by signature) that
-  *    distributes SCAN
   *  - `tables` — the [[HyperedgeTables]] (tables, Card(·) metadata and the
   *    inverted index as one per-vertex CSR, where he(v, s) is one run of
   *    ascending edge ids), broadcast once so every task expands against a
-  *    local copy
+  *    local copy; [[HGMatchSpark]] plans, scans and expands from it alone
+  *  - `edges(eid, sig, vids, labs)` — one row per hyperedge, cached; `sig`
+  *    is the signature key, so `edges.where($"sig" === s)` is the partition
+  *    scan of Section IV-B
   *  - `vertices(vid, label)` and `inverted(vid, sig, eid)` — uncached
   *    relational views of the labels and of the inverted index of IV-C
+  *
+  * The three frames are kept for the tests and the benchmark harness only;
+  * the matcher reads none of them.
   */
 final case class HypergraphDF(
     vertices: DataFrame,

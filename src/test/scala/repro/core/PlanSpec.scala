@@ -75,6 +75,33 @@ class PlanSpec extends AnyFunSuite {
       Set(PairSpec(0, 0, 2), PairSpec(1, 0, 2))) // u1 via e0 and via e1
   }
 
+  test("equal Algorithm-4 pairs are kept once, and every engine still counts right") {
+    // e1 shares u0 and u1 with e0, both label A with partial degree 1.
+    val query = Hypergraph(Seq(0, 0, 0, 0), Seq(Seq(0, 1, 2), Seq(0, 1, 3)))
+    val p = Plan.fromOrder(query, Array(0, 1))
+    assert(p.steps(0).pairs.toSeq == Seq(PairSpec(0, 0, 1)))
+    val data = Hypergraph(Seq.fill(6)(0),
+      Seq(Seq(0, 1, 2), Seq(0, 1, 3), Seq(1, 2, 3), Seq(0, 2, 4), Seq(2, 3, 4), Seq(1, 4, 5)))
+    val tb = HyperedgeTables.build(data)
+    val expected = Reference.count(tb, p)
+    assert(expected > 0)
+    import repro.engine._
+    assert(SequentialEngine.run(tb, p, new CollectingSink).embeddings == expected)
+    assert(SequentialEngine.run(tb, p, new CountingSink).embeddings == expected)
+    for (threads <- Seq(1, 4))
+      assert(TaskEngine.run(tb, p, TaskEngineConfig(threads)).outcome.embeddings == expected, s"p=$threads")
+    assert(BfsEngine.run(tb, p).outcome.embeddings == expected)
+  }
+
+  test("queries of more than 32 hyperedges are rejected by generate and fromOrder") {
+    // A connected chain of vertices 0…n with edges {i, i+1}.
+    def chain(n: Int) = Hypergraph(Seq.fill(n + 1)(0), (0 until n).map(i => Seq(i, i + 1)))
+    assert(Plan.fromOrder(chain(32), (0 until 32).toArray).numEdges == 32)
+    val q33 = chain(33)
+    assertThrows[IllegalArgumentException](Plan.fromOrder(q33, (0 until 33).toArray))
+    assertThrows[IllegalArgumentException](Plan.generate(q33, HyperedgeTables.build(q33)))
+  }
+
   test("fromOrder rejects non-permutations") {
     assertThrows[IllegalArgumentException] {
       Plan.fromOrder(q, Array(0, 0, 2))

@@ -53,6 +53,47 @@ class ExpanderSpec extends AnyFunSuite {
     }
   }
 
+  /** Runs `body` on a new thread, whose per-thread scratch starts fresh. */
+  private def onFreshThread(body: => Unit): Unit = {
+    var failure: Throwable = null
+    val t = new Thread(() => try body catch { case e: Throwable => failure = e })
+    t.start(); t.join()
+    if (failure != null) throw failure
+  }
+
+  // A generated graph with many more vertices than Fig 1, and a q3 on it.
+  private lazy val big = HyperedgeTables.build(TestGraphs.random(600, 900, 2, 4, 21))
+  private lazy val bigPlan = Plan.generate(TestGraphs.sampleQuery(big.graph, 3, 5).get, big)
+  private lazy val bigCount = Reference.count(big, bigPlan)
+  private lazy val fig1 = HyperedgeTables.build(Hypergraph.fig1Data)
+  private lazy val fig1Plan = Plan.generate(Hypergraph.fig1Query, fig1)
+
+  test("a thread's scratch outlives runs over graphs of different sizes, in both orders") {
+    assert(bigCount > 0 && Reference.count(fig1, fig1Plan) == 2)
+    val runs = Seq((big, bigPlan, bigCount), (fig1, fig1Plan, 2L))
+    for (first <- runs.indices) onFreshThread {
+      for (k <- 0 until 4) {
+        val (tb, plan, expected) = runs((first + k) % 2)
+        assert(SequentialEngine.run(tb, plan, new CollectingSink).embeddings == expected, s"first=$first k=$k")
+        assert(SequentialEngine.run(tb, plan).embeddings == expected, s"first=$first k=$k counting")
+      }
+    }
+  }
+
+  test("a run after one whose sink threw mid-run counts right") {
+    val throwing = new Sink {
+      private var n = 0L
+      def consume(emb: Array[Int]): Unit = { n += 1; if (n == bigCount / 2) throw new IllegalStateException("sink failed") }
+      def count: Long = n
+    }
+    assert(bigCount >= 4) // precondition: the failure is mid-run
+    onFreshThread {
+      assert(intercept[IllegalStateException](SequentialEngine.run(big, bigPlan, throwing)).getMessage == "sink failed")
+      assert(SequentialEngine.run(big, bigPlan, new CollectingSink).embeddings == bigCount)
+      assert(SequentialEngine.run(fig1, fig1Plan, new CollectingSink).embeddings == 2)
+    }
+  }
+
   test("a sink that is not count-only rejects add") {
     assertThrows[UnsupportedOperationException](new CollectingSink().add(1))
     val s = new CountingSink
