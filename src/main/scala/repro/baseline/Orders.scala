@@ -40,23 +40,28 @@ object Orders {
 
   /** DAF-H order: greedy connected, min candidate set first. */
   def daf(query: Hypergraph, candSizes: Array[Int]): Array[Int] =
-    greedyConnected(query, u => (candSizes(u).toLong, u.toLong))
+    greedyConnected(query.adjacentVertices, u => (candSizes(u).toLong, u.toLong))
 
   /** CFL-H order: greedy connected, high degree (core) first then fewer
     * candidates.
     */
   def cfl(query: Hypergraph, candSizes: Array[Int]): Array[Int] =
-    greedyConnected(query, u => (-query.degree(u).toLong, candSizes(u).toLong))
+    greedyConnected(query.adjacentVertices, u => (-query.degree(u).toLong, candSizes(u).toLong))
 
-  private def greedyConnected(query: Hypergraph, key: Int => (Long, Long)): Array[Int] = {
-    val n = query.numVertices
+  /** Greedy connected order over the graph `adj`: start at the smallest
+    * `key`, then repeatedly take the smallest-keyed vertex adjacent to one
+    * already placed (any unplaced vertex once the frontier is empty). Ties
+    * go to the smaller vertex id.
+    */
+  private[baseline] def greedyConnected(adj: Array[Array[Int]], key: Int => (Long, Long)): Array[Int] = {
+    val n = adj.length
     val order = mutable.ArrayBuffer.empty[Int]
     val placed = new Array[Boolean](n)
     val frontier = mutable.HashSet.empty[Int]
 
     val first = (0 until n).minBy(u => (key(u), u.toLong))
     order += first; placed(first) = true
-    query.adjacentVertices(first).foreach(frontier += _)
+    adj(first).foreach(frontier += _)
 
     while (order.length < n) {
       val pick =
@@ -64,7 +69,7 @@ object Orders {
         else (0 until n).filter(!placed(_)).minBy(u => (key(u), u.toLong))
       order += pick; placed(pick) = true
       frontier -= pick
-      query.adjacentVertices(pick).foreach(w => if (!placed(w)) frontier += w)
+      adj(pick).foreach(w => if (!placed(w)) frontier += w)
     }
     order.toArray
   }

@@ -35,24 +35,7 @@ object RapidMatchH {
     }
 
     // Greedy connected order, min candidates first.
-    val order: Array[Int] = {
-      val n = qg.numNodes
-      val out = mutable.ArrayBuffer.empty[Int]
-      val placed = new Array[Boolean](n)
-      val frontier = mutable.HashSet.empty[Int]
-      val first = (0 until n).minBy(u => (candSets(u).length, u))
-      out += first; placed(first) = true
-      qg.adj(first).foreach(frontier += _)
-      while (out.length < n) {
-        val pick =
-          if (frontier.nonEmpty) frontier.minBy(u => (candSets(u).length, u))
-          else (0 until n).filter(!placed(_)).minBy(u => (candSets(u).length, u))
-        out += pick; placed(pick) = true
-        frontier -= pick
-        qg.adj(pick).foreach(w => if (!placed(w)) frontier += w)
-      }
-      out.toArray
-    }
+    val order = Orders.greedyConnected(qg.adj, u => (candSets(u).length.toLong, u.toLong))
     val posOf = new Array[Int](qg.numNodes)
     order.zipWithIndex.foreach { case (u, i) => posOf(u) = i }
 

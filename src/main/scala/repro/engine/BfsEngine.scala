@@ -35,8 +35,7 @@ object BfsEngine {
   ): BfsRunOutcome = {
     val t0 = System.nanoTime()
     val deadline = if (timeoutNanos == Long.MaxValue) Long.MaxValue else t0 + timeoutNanos
-    val counters = new MatchCounters
-    val expander = new Expander(tables, plan, counters)
+    val counters = ArrayBuffer.empty[MatchCounters] // one per level thread, merged at the end
 
     var level: ArrayBuffer[Array[Int]] = ArrayBuffer.from(tables.edgesOf(plan.scanSignature).map(Array(_)))
     var peak = embBytes(1) * level.length
@@ -47,29 +46,27 @@ object BfsEngine {
 
     while (pos < plan.numEdges && !exceeded && !timedOut && level.nonEmpty) {
       val next = new ArrayBuffer[Array[Int]]()
-      if (threads <= 1) {
-        var i = 0
+      // Dynamic work-list partitioning within the level; results merged
+      // under a lock — mirrors BFS engines' shared global storage. With
+      // one thread the loop runs on the caller's thread.
+      val cursor = new AtomicInteger(0)
+      val expandLevel: Runnable = () => {
+        val c = new MatchCounters
+        val expander = new Expander(tables, plan, c)
+        val local = new ArrayBuffer[Array[Int]]()
+        var n = 0
+        var i = cursor.getAndIncrement()
         while (i < level.length && !timedOut) {
-          expander.expand(level(i))(next += _)
-          if ((i & 0xff) == 0 && System.nanoTime() > deadline) timedOutFlag.set(true)
-          i += 1
+          expander.expand(level(i))(local += _)
+          if ((n & 0xff) == 0 && System.nanoTime() > deadline) timedOutFlag.set(true)
+          n += 1
+          i = cursor.getAndIncrement()
         }
-      } else {
-        // Static work-list partitioning within the level; results merged
-        // under a lock — mirrors BFS engines' shared global storage.
-        val cursor = new AtomicInteger(0)
-        val ws = (0 until threads).map { _ =>
-          new Thread(() => {
-            val local = new ArrayBuffer[Array[Int]]()
-            var i = cursor.getAndIncrement()
-            while (i < level.length && System.nanoTime() <= deadline) {
-              expander.expand(level(i))(local += _)
-              i = cursor.getAndIncrement()
-            }
-            if (System.nanoTime() > deadline) timedOutFlag.set(true)
-            next.synchronized { next ++= local }
-          })
-        }
+        next.synchronized { next ++= local; counters += c }
+      }
+      if (threads <= 1) expandLevel.run()
+      else {
+        val ws = (0 until threads).map(_ => new Thread(expandLevel))
         ws.foreach(_.start()); ws.foreach(_.join())
       }
       // Both the consumed and the produced level are live at the barrier.
@@ -84,7 +81,7 @@ object BfsEngine {
     // embeddings found so far; a memory cap reports none.
     val count = if (exceeded || pos < plan.numEdges) 0L else level.length.toLong
     BfsRunOutcome(
-      RunOutcome(count, !(exceeded || timedOut), System.nanoTime() - t0, counters.snapshot),
+      RunOutcome(count, !(exceeded || timedOut), System.nanoTime() - t0, MatchCounters.sum(counters)),
       peak,
       exceeded,
     )

@@ -16,7 +16,7 @@ import repro.core._
   * ([[Sink.countOnly]]), the task engine fuses the last EXPAND into it: a
   * partial embedding one hyperedge short of complete is handed to
   * [[Expander.countExtensions]], which counts its valid extensions without
-  * building them, and the count goes to [[Sink.add]].
+  * building them; the workers' counts go to [[Sink.add]] once per run.
   * [[BfsEngine]], the Exp-5 comparison point, materialises every level.
   */
 sealed trait Operator
@@ -45,7 +45,8 @@ trait Sink {
     */
   def countOnly: Boolean = false
   /** Adds `n` embeddings that were counted, not built. Called only when
-    * [[countOnly]] is true.
+    * [[countOnly]] is true, once per run, on the calling thread after the
+    * workers have joined.
     */
   def add(n: Long): Unit = throw new UnsupportedOperationException("this sink consumes embeddings")
 }
@@ -68,21 +69,31 @@ final class CollectingSink extends Sink {
   def results: Seq[Vector[Int]] = buf.synchronized { buf.map(_.toVector).toSeq }
 }
 
-/** Enumeration-phase counters backing Exp-3 (Fig 9). */
+/** Enumeration-phase counters backing Exp-3 (Fig 9). One per worker (one
+  * [[Expander]] writes it); not thread-safe. The engines merge the
+  * workers' counters after the join.
+  */
 final class MatchCounters {
-  val candidates = new LongAdder // Algorithm-4 outputs, all steps
-  val filtered   = new LongAdder // survived Observation V.5, all steps
-  val validated  = new LongAdder // survived full validation, all steps
-  def snapshot: (Long, Long, Long) = (candidates.sum(), filtered.sum(), validated.sum())
+  var candidates = 0L // Algorithm-4 outputs, all steps
+  var filtered   = 0L // survived Observation V.5, all steps
+  var validated  = 0L // survived full validation, all steps
+  def snapshot: (Long, Long, Long) = (candidates, filtered, validated)
+}
+
+object MatchCounters {
+  /** The merged snapshot of several workers' counters. */
+  def sum(all: Iterable[MatchCounters]): (Long, Long, Long) =
+    (all.iterator.map(_.candidates).sum, all.iterator.map(_.filtered).sum, all.iterator.map(_.validated).sum)
 }
 
 /** One EXPAND application shared by every engine: generate candidates,
-  * validate, emit extensions, maintain counters. Scratch buffers are
-  * per-thread and belong to `object Expander`, so one Expander serves all
-  * workers allocation-free (bar the emitted embeddings themselves), and a
-  * thread's scratch, the dense vertex-mask array included, outlives the run
-  * (later runs on that thread, such as the Spark tasks of one executor
-  * thread, reuse it). The counters are updated once per expansion.
+  * validate, emit extensions, maintain counters. Each worker has its own
+  * Expander and [[MatchCounters]], updated once per expansion. Scratch
+  * buffers are per-thread and belong to `object Expander`, so expansion is
+  * allocation-free (bar the emitted embeddings themselves), and a thread's
+  * scratch, the dense vertex-mask array included, outlives the run (later
+  * runs on that thread, such as the Spark tasks of one executor thread,
+  * reuse it).
   *
   * An `emit` callback must not re-enter an Expander on the same thread:
   * every Expander on a thread shares that thread's scratch. The engines
@@ -140,9 +151,9 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
       }
       i += 1
     }
-    counters.candidates.add(scratch.na)
-    counters.filtered.add(filtered)
-    counters.validated.add(valid)
+    counters.candidates += scratch.na
+    counters.filtered += filtered
+    counters.validated += valid
     valid
   }
 }

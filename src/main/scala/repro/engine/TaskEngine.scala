@@ -1,6 +1,6 @@
 package repro.engine
 
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicLong, AtomicLongArray, AtomicReference}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicLong, AtomicReference}
 import java.util.concurrent.locks.{LockSupport, ReentrantLock}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -26,7 +26,10 @@ final case class RunOutcome(
     counters: (Long, Long, Long), // (candidates, filtered, validated)
 )
 
-/** Per-worker accounting for the load-balancing experiment (Exp-6). */
+/** Per-worker accounting for the load-balancing experiment (Exp-6).
+  * `busyNanos` is the worker's wall time outside its idle loop (looking
+  * for work, stealing, waiting for termination).
+  */
 final case class WorkerStat(id: Int, busyNanos: Long, tasks: Long, steals: Long, stolenTasks: Long)
 
 /** [[RunOutcome]] plus scheduler-level metrics: the observed peak of live
@@ -45,56 +48,68 @@ final case class TaskRunOutcome(
   * A task is one partial embedding (Definition VI.1): executing it either
   * sinks it (complete) or expands it, spawning one child task per valid
   * extension. With a count-only sink, a task one hyperedge short of
-  * complete counts its valid extensions straight into the sink and spawns
-  * nothing (the fused SINK of [[Operator]]). Each worker owns a deque; new
-  * tasks go to the head and the worker pops from the head (LIFO — the
-  * bounded-memory order of Theorem VI.1). An idle worker picks a random
-  * victim and steals half of the victim's tasks from the *tail*, i.e. the
-  * oldest/shallowest embeddings carrying the most remaining work. With one
-  * worker there is nothing to steal and no pool: the worker's loop runs on
-  * the calling thread (this is [[SequentialEngine]]).
+  * complete counts its valid extensions and spawns nothing (the fused SINK
+  * of [[Operator]]). Each worker owns a deque; new tasks go to the head and
+  * the worker pops from the head (LIFO — the bounded-memory order of
+  * Theorem VI.1). An idle worker picks a random victim and steals half of
+  * the victim's tasks from the *tail*, i.e. the oldest/shallowest
+  * embeddings carrying the most remaining work. With one worker there is
+  * nothing to steal and no pool: the worker's loop runs on the calling
+  * thread (this is [[SequentialEngine]]).
   *
   * The paper uses a Chase–Lev non-blocking deque; here each deque is an
   * `ArrayDeque` under a light `ReentrantLock` (tryLock on the thief side) —
-  * same scheduling semantics (see DESIGN.md substitutions). Shared-state
-  * traffic is kept off the per-task fast path: task creations are counted
-  * with one atomic add per expansion, completions are flushed in batches
-  * (lag only delays the termination check, never causes early exit), and
-  * queue-byte accounting lives in padded per-worker slots.
+  * same scheduling semantics (see DESIGN.md substitutions). Bookkeeping
+  * stays with its writer: each deque counts its own queue bytes under the
+  * lock it already takes, once per pushed batch; each worker has its own
+  * [[Expander]], [[MatchCounters]] and fused count, merged after the join;
+  * the deadline is read every 64 tasks and the busy clock only when a
+  * worker goes idle. The one shared counter is `pending` (tasks created
+  * but not yet completed), raised before each batch is pushed and lowered
+  * in batches of completions, so a lagging decrement can only delay exit.
   */
 object TaskEngine {
 
   private def taskBytes(emb: Array[Int]): Long = 24L + 4L * emb.length
 
-  private final val Stride = 8 // slots per worker in AtomicLongArray (false-sharing pad)
-
   private final class WorkerDeque {
     private val dq = new java.util.ArrayDeque[Array[Int]]()
     private val lock = new ReentrantLock()
+    private var bytes = 0L // live task bytes in `dq`, under `lock`
+    var peak = 0L // the largest `bytes` seen; read after the join
 
-    def push(t: Array[Int]): Unit = { lock.lock(); try dq.addFirst(t) finally lock.unlock() }
+    /** Push `ts` to the head in order, so the last one is popped first. */
+    def pushAll(ts: ArrayBuffer[Array[Int]]): Unit = {
+      lock.lock()
+      try {
+        var i = 0
+        while (i < ts.length) { dq.addFirst(ts(i)); bytes += taskBytes(ts(i)); i += 1 }
+        if (bytes > peak) peak = bytes
+      } finally lock.unlock()
+    }
 
-    def pop(): Array[Int] = { lock.lock(); try dq.pollFirst() finally lock.unlock() }
+    def pop(): Array[Int] = {
+      lock.lock()
+      try {
+        val t = dq.pollFirst()
+        if (t != null) bytes -= taskBytes(t)
+        t
+      } finally lock.unlock()
+    }
 
     def size: Int = dq.size() // racy read, used only as a stealing hint
 
-    /** Steal ⌊size/2⌋ from the tail; non-blocking on contention. Returns
-      * the stolen tasks' total bytes (for the accounting hand-off).
-      */
-    def stealHalf(into: ArrayBuffer[Array[Int]]): Long = {
-      if (!lock.tryLock()) return 0L
+    /** Steal ⌊size/2⌋ from the tail; non-blocking on contention. */
+    def stealHalf(into: ArrayBuffer[Array[Int]]): Unit = {
+      if (!lock.tryLock()) return
       try {
-        val n = dq.size()
-        val k = n / 2
-        var bytes = 0L
-        var i = 0
-        while (i < k) {
+        var k = dq.size() / 2
+        while (k > 0) {
           val t = dq.pollLast()
-          bytes += taskBytes(t)
+          bytes -= taskBytes(t)
           into += t
-          i += 1
+          k -= 1
         }
-        bytes
       } finally lock.unlock()
     }
   }
@@ -117,19 +132,11 @@ object TaskEngine {
     val t0 = System.nanoTime()
     val deadline = if (timeoutNanos == Long.MaxValue) Long.MaxValue else t0 + timeoutNanos
 
-    val counters = new MatchCounters
-    val expander = new Expander(tables, plan, counters)
     val total = plan.numEdges
     val countLast = sink.countOnly
     val p = config.threads
 
     val deques = Array.fill(p)(new WorkerDeque)
-    // Monotonic counters: a task is counted in `created` BEFORE it becomes
-    // stealable, so created == completed implies nothing is queued or in
-    // flight. Workers flush their completion batches before idling.
-    val created = new AtomicLong(0)
-    val completed = new AtomicLong(0)
-    val qbytes = new AtomicLongArray(p * Stride)
     val abort = new AtomicBoolean(false)
     val failure = new AtomicReference[Throwable]()
 
@@ -138,65 +145,61 @@ object TaskEngine {
     // hyperedges — the static coarse-grained distribution of Section VI-C
     // whose skew the work stealing then corrects.
     val scanEdges = seeds.getOrElse(tables.edgesOf(plan.scanSignature))
-    created.addAndGet(scanEdges.length.toLong)
-    var si = 0
-    while (si < scanEdges.length) {
-      val w = math.min(p - 1, si * p / math.max(1, scanEdges.length))
-      val t = Array(scanEdges(si))
-      qbytes.getAndAdd(w * Stride, taskBytes(t))
-      deques(w).push(t)
-      si += 1
-    }
+    val shares = Array.fill(p)(ArrayBuffer.empty[Array[Int]])
+    for (si <- scanEdges.indices) shares(si * p / scanEdges.length) += Array(scanEdges(si))
+    for (w <- 0 until p) deques(w).pushAll(shares(w))
+    // Tasks created and not yet completed. Children are added before they
+    // are pushed, so pending == 0 proves nothing is queued or in flight.
+    val pending = new AtomicLong(scanEdges.length.toLong)
 
-    val busy = new Array[Long](p)
-    val tasksRun = new Array[Long](p)
-    val steals = new Array[Long](p)
-    val stolen = new Array[Long](p)
-    val peakPerWorker = new Array[Long](p)
+    val counters = Array.fill(p)(new MatchCounters)
+    val counted = new Array[Long](p) // fused last-step counts
+    val stats = new Array[WorkerStat](p)
 
     def work(id: Int): Unit = {
+      val start = System.nanoTime()
+      val expander = new Expander(tables, plan, counters(id))
       val rnd = new Random(0x5eed + id)
       val stealBuf = ArrayBuffer.empty[Array[Int]]
-      val slot = id * Stride
-      var localCompleted = 0L
-      var localPeak = 0L
-
-      def flush(): Unit =
-        if (localCompleted > 0) { completed.addAndGet(localCompleted); localCompleted = 0 }
-
       val childBuf = ArrayBuffer.empty[Array[Int]]
+      var localCompleted = 0L
+      var localCounted = 0L
+      var tasks, steals, stolen = 0L
+      var idle = 0L
+
+      /** Reports the batched completions; returns what is still pending. */
+      def flush(): Long = {
+        val left = pending.addAndGet(-localCompleted)
+        localCompleted = 0
+        left
+      }
 
       def runTask(t: Array[Int]): Unit = {
-        qbytes.getAndAdd(slot, -taskBytes(t))
         if (!abort.get()) {
-          val s = System.nanoTime()
-          try {
-            if (t.length == total) sink.consume(t) // T_SINK
-            else if (countLast && t.length == total - 1) sink.add(expander.countExtensions(t))
-            else { // T_EXPAND
-              childBuf.clear()
-              expander.expand(t)(childBuf += _)
-              if (childBuf.nonEmpty) {
-                var spawnedBytes = 0L
-                childBuf.foreach(c => spawnedBytes += taskBytes(c))
-                created.addAndGet(childBuf.length.toLong) // before push
-                val nowBytes = qbytes.addAndGet(slot, spawnedBytes)
-                if (nowBytes > localPeak) localPeak = nowBytes
-                childBuf.foreach(deques(id).push)
+          // The deadline is read on the first task and then every 64th.
+          if ((tasks & 63) == 0 && System.nanoTime() > deadline) abort.set(true)
+          else {
+            tasks += 1
+            try {
+              if (t.length == total) sink.consume(t) // T_SINK
+              else if (countLast && t.length == total - 1) localCounted += expander.countExtensions(t)
+              else { // T_EXPAND
+                childBuf.clear()
+                expander.expand(t)(childBuf += _)
+                if (childBuf.nonEmpty) {
+                  pending.addAndGet(childBuf.length.toLong) // before push
+                  deques(id).pushAll(childBuf)
+                }
               }
+            } catch {
+              // The task still counts as completed below, so every worker
+              // drains the remaining (now skipped) tasks and terminates.
+              case e: Throwable => failure.compareAndSet(null, e); abort.set(true)
             }
-          } catch {
-            // The task still counts as completed below, so every worker
-            // drains the remaining (now skipped) tasks and terminates.
-            case e: Throwable => failure.compareAndSet(null, e); abort.set(true)
           }
-          val now = System.nanoTime()
-          busy(id) += now - s
-          tasksRun(id) += 1
-          if (now > deadline) abort.set(true)
         }
         localCompleted += 1
-        if (localCompleted >= 64) flush()
+        if (localCompleted == 64) flush()
       }
 
       var done = false
@@ -204,12 +207,8 @@ object TaskEngine {
         val t = deques(id).pop()
         if (t != null) runTask(t)
         else {
-          flush()
-          // Read `completed` BEFORE `created`: both are monotonic and a
-          // task is counted created before it is queued, so equality in
-          // this order proves nothing is queued or in flight.
-          val doneCount = completed.get()
-          if (created.get() == doneCount) done = true
+          val idleStart = System.nanoTime()
+          if (flush() == 0) done = true
           else {
             var got = false
             if (config.stealing && p > 1) {
@@ -219,12 +218,10 @@ object TaskEngine {
                 val victim = rnd.nextInt(p)
                 if (victim != id && deques(victim).size > 0) {
                   stealBuf.clear()
-                  val movedBytes = deques(victim).stealHalf(stealBuf)
+                  deques(victim).stealHalf(stealBuf)
                   if (stealBuf.nonEmpty) {
-                    steals(id) += 1; stolen(id) += stealBuf.length
-                    qbytes.getAndAdd(victim * Stride, -movedBytes)
-                    qbytes.getAndAdd(slot, movedBytes)
-                    stealBuf.foreach(deques(id).push)
+                    steals += 1; stolen += stealBuf.length
+                    deques(id).pushAll(stealBuf)
                     got = true
                   }
                 }
@@ -233,10 +230,11 @@ object TaskEngine {
             }
             if (!got) LockSupport.parkNanos(10_000)
           }
+          idle += System.nanoTime() - idleStart
         }
       }
-      flush()
-      peakPerWorker(id) = localPeak
+      counted(id) = localCounted
+      stats(id) = WorkerStat(id, System.nanoTime() - start - idle, tasks, steals, stolen)
     }
 
     if (p == 1) work(0)
@@ -246,12 +244,12 @@ object TaskEngine {
       threads.foreach(_.join())
     }
     if (failure.get() != null) throw failure.get()
+    if (countLast) sink.add(counted.sum)
 
-    val stats = (0 until p).map(id => WorkerStat(id, busy(id), tasksRun(id), steals(id), stolen(id)))
     TaskRunOutcome(
-      RunOutcome(sink.count, !abort.get(), System.nanoTime() - t0, counters.snapshot),
-      math.max(peakPerWorker.sum, taskBytes(Array(0)) * scanEdges.length), // seeds count too
-      stats,
+      RunOutcome(sink.count, !abort.get(), System.nanoTime() - t0, MatchCounters.sum(counters)),
+      deques.map(_.peak).sum,
+      stats.toSeq,
     )
   }
 }

@@ -38,6 +38,25 @@ class BfsEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("counters merged over level threads equal the task engine's") {
+    for (seed <- 1 to 12) {
+      val data = TestGraphs.random(20, 30, 2, 4, seed)
+      val tb = HyperedgeTables.build(data)
+      TestGraphs.sampleQuery(data, 3, seed * 3).foreach { query =>
+        val p = Plan.generate(query, tb)
+        // BFS expands every level, so compare with the emitting task run
+        // (a count-only sink skips building the last level).
+        val task = TaskEngine.run(tb, p, TaskEngineConfig(1), new CollectingSink).outcome
+        assert(task.embeddings == Reference.count(tb, p), s"seed=$seed")
+        for (threads <- Seq(1, 4)) {
+          val bfs = BfsEngine.run(tb, p, threads).outcome
+          assert(bfs.embeddings == task.embeddings, s"seed=$seed threads=$threads")
+          assert(bfs.counters == task.counters, s"seed=$seed threads=$threads")
+        }
+      }
+    }
+  }
+
   test("memory cap triggers the OOM stand-in") {
     val data = TestGraphs.random(40, 200, 1, 3, 5)
     val tb = HyperedgeTables.build(data)

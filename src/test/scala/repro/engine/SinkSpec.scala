@@ -42,7 +42,7 @@ class SinkSpec extends AnyFunSuite {
 
   test("match counters snapshot is consistent") {
     val c = new MatchCounters
-    c.candidates.add(10); c.filtered.add(5); c.validated.add(3)
+    c.candidates += 10; c.filtered += 5; c.validated += 3
     assert(c.snapshot == ((10L, 5L, 3L)))
   }
 }

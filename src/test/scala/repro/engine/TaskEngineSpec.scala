@@ -98,6 +98,35 @@ class TaskEngineSpec extends AnyFunSuite with TimeLimits {
     }
   }
 
+  test("peak queue bytes count the pushed seeds") {
+    val data = TestGraphs.random(25, 60, 2, 4, 77)
+    val tb = HyperedgeTables.build(data)
+    val query = TestGraphs.sampleQuery(data, 3, 99).get
+    val p = Plan.generate(query, tb)
+    val seeds = tb.edgesOf(p.scanSignature).length
+    assert(seeds > 1) // precondition
+    for (threads <- Seq(1, 3); sink <- Seq(new CountingSink, new CollectingSink)) {
+      val r = TaskEngine.run(tb, p, TaskEngineConfig(threads), sink)
+      // A seed task is one hyperedge id: 24 header bytes + 4.
+      assert(r.peakQueueBytes >= 28L * seeds, s"threads=$threads peak=${r.peakQueueBytes} seeds=$seeds")
+    }
+  }
+
+  test("every worker's busy time lies within the run's elapsed time") {
+    val data = TestGraphs.random(25, 60, 2, 4, 77)
+    val tb = HyperedgeTables.build(data)
+    val query = TestGraphs.sampleQuery(data, 3, 99).get
+    val p = Plan.generate(query, tb)
+    for (threads <- Seq(1, 2, 4, 8); stealing <- Seq(true, false)) {
+      val r = TaskEngine.run(tb, p, TaskEngineConfig(threads, stealing), new CollectingSink)
+      assert(r.workers.size == threads)
+      r.workers.foreach { w =>
+        assert(w.busyNanos >= 0 && w.busyNanos <= r.outcome.elapsedNanos,
+          s"threads=$threads stealing=$stealing worker=${w.id} busy=${w.busyNanos} elapsed=${r.outcome.elapsedNanos}")
+      }
+    }
+  }
+
   test("work stealing happens on skewed seeds (smoke)") {
     // Single scan seed with many expansions: without stealing only one
     // worker is busy; with stealing others pick up tasks.
