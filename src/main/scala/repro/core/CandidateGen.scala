@@ -7,37 +7,36 @@ package repro.core
   */
 object CandidateGen {
 
-  /** Reusable per-thread buffers for the hot path: the running
-    * intersection `a`, the per-pair gather buffer `b`, and the prefix's
-    * vertex profiles `masks` (a dense array over the data vertices), which
-    * [[Validation.sharedProfileKeys]] reads after candidate generation. One
-    * [[Scratch]] per worker thread, kept across runs and graphs (the
-    * engines' is [[repro.engine.Expander]]'s); `candidatesInto` is
+  /** Reusable per-thread state for the hot path: the candidates `a`, the
+    * prefix's vertex profiles `masks` (a dense array over the data
+    * vertices), which [[Validation.sharedProfileKeys]] reads after
+    * candidate generation, the validation keys `keys`, and a stamp per data
+    * hyperedge id with a running `epoch` (the union and intersection
+    * marks). One [[Scratch]] per worker thread, kept across runs and graphs
+    * (the engines' is [[repro.engine.Expander]]'s); `candidatesInto` is
     * reentrancy-free.
     */
   final class Scratch {
     var a: Array[Int] = new Array[Int](256)
-    var b: Array[Int] = new Array[Int](256)
     var na: Int = 0
     val masks = new VertexMasks
-    /** Grows `b`, keeping the postings already gathered for the current pair. */
-    def ensureB(n: Int): Unit =
-      if (b.length < n) b = java.util.Arrays.copyOf(b, Integer.highestOneBit(n - 1) << 1)
-    def ensureA(n: Int): Unit =
-      if (a.length < n) a = new Array[Int](Integer.highestOneBit(n - 1) << 1)
+    var keys: Array[Long] = new Array[Long](0) // grown to the expanding plan's largest arity
+    private[core] var stamps: Array[Int] = new Array[Int](0) // ≤ epoch outside a call
+    private[core] var epoch: Int = 0
   }
 
   /** Algorithm 4 into caller-provided scratch. On return, the candidates
-    * are `scratch.a(0 until scratch.na)`, sorted ascending, and
-    * `scratch.masks` holds the profiles of `emb`'s vertices.
+    * are `scratch.a(0 until scratch.na)`, distinct, in the order pair 0
+    * first reached them, and `scratch.masks` holds the profiles of `emb`'s
+    * vertices.
     *
-    * Per pair, posting lists are gathered, sorted and deduped (the
-    * within-pair union), then merged into the running intersection in
-    * place — no per-call allocations beyond buffer growth. The per-vertex
-    * partial-embedding degree (Obs V.4) and V_n_incdt membership (Obs
-    * V.3) come from the vertex's position mask. The step's partition is
-    * resolved once per call; each V_incdt vertex then costs a binary
-    * search over its few runs and one copy of he(v, S(e_q)).
+    * Each pair is one pass over its posting lists, read in place off the
+    * index. With the call's stamps `base + 1 … base + #pairs`, pair 0
+    * appends each edge stamped ≤ `base` and stamps it `base + 1` (the
+    * within-pair union); pair k ≥ 1 moves `base + k` to `base + k + 1`
+    * (line 7's intersection). A vertex's partial degree (Obs V.4) and
+    * V_n_incdt membership (Obs V.3) come from its position mask; the step's
+    * partition is resolved once per call.
     */
   def candidatesInto(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int],
                      scratch: Scratch): Unit = {
@@ -46,13 +45,20 @@ object CandidateGen {
     scratch.na = 0
     val pid = tables.partitionId(step.signature)
     if (pid < 0) return // no data hyperedge has the signature
+    val np = step.pairs.length
+    if (scratch.stamps.length < g.numEdges) scratch.stamps = new Array[Int](g.numEdges)
+    if (scratch.epoch > Int.MaxValue - np) { java.util.Arrays.fill(scratch.stamps, 0); scratch.epoch = 0 }
+    val base = scratch.epoch
+    scratch.epoch = base + np
+    val stamps = scratch.stamps
+    var a = scratch.a
+    var na = 0
+    var moved = 0 // distinct edges the latest pair reached: the survivors so far
     var k = 0
-    while (k < step.pairs.length) {
+    while (k < np) {
       val p = step.pairs(k)
       val fe = g.edges(emb(p.prevPos))
-
-      // Gather the pair's posting lists into b.
-      var nb = 0
+      moved = 0
       var i = 0
       while (i < fe.length) {
         val v = fe(i)
@@ -61,46 +67,38 @@ object CandidateGen {
           if ((m & step.nonAdjMask) == 0L && java.lang.Long.bitCount(m) == p.degInPartial) {
             val r = tables.runOf(v, pid)
             if (r >= 0) {
-              val from = tables.runStart(r)
-              val len = tables.runStart(r + 1) - from
-              scratch.ensureB(nb + len)
-              System.arraycopy(tables.postings, from, scratch.b, nb, len)
-              nb += len
+              var j = tables.runStart(r)
+              val end = tables.runStart(r + 1)
+              while (j < end) {
+                val e = tables.postings(j)
+                if (if (k == 0) stamps(e) <= base else stamps(e) == base + k) {
+                  stamps(e) = base + k + 1
+                  moved += 1
+                  if (k == 0) {
+                    if (na == a.length) { a = java.util.Arrays.copyOf(a, 2 * na); scratch.a = a }
+                    a(na) = e; na += 1
+                  }
+                }
+                j += 1
+              }
             }
           }
         }
         i += 1
       }
-      if (nb == 0) { scratch.na = 0; return } // empty pair ⇒ empty intersection
-
-      // Within-pair union: sort + dedupe in place.
-      java.util.Arrays.sort(scratch.b, 0, nb)
-      var w = 0
-      var r = 0
-      while (r < nb) {
-        val x = scratch.b(r)
-        if (w == 0 || scratch.b(w - 1) != x) { scratch.b(w) = x; w += 1 }
-        r += 1
-      }
-      nb = w
-
-      if (k == 0) {
-        scratch.ensureA(nb)
-        System.arraycopy(scratch.b, 0, scratch.a, 0, nb)
-        scratch.na = nb
-      } else {
-        // Line 7 incrementally: a ← a ∩ b, merged in place.
-        var ia = 0; var ib = 0; var out = 0
-        while (ia < scratch.na && ib < nb) {
-          val x = scratch.a(ia); val y = scratch.b(ib)
-          if (x == y) { scratch.a(out) = x; out += 1; ia += 1; ib += 1 }
-          else if (x < y) ia += 1
-          else ib += 1
-        }
-        scratch.na = out
-      }
-      if (scratch.na == 0) return
+      if (moved == 0) return // empty pair ⇒ empty intersection
       k += 1
     }
+    if (moved < na) { // keep the edges every pair reached
+      var w = 0
+      var r = 0
+      while (r < na) {
+        val e = a(r)
+        if (stamps(e) == base + np) { a(w) = e; w += 1 }
+        r += 1
+      }
+      na = w
+    }
+    scratch.na = na
   }
 }

@@ -109,9 +109,6 @@ final class Hypergraph private (
     */
   def totalIncidence: Long = edges.iterator.map(_.length.toLong).sum
 
-  /** Human-readable label for a label id (falls back to the id). */
-  def labelName(l: Int): String = labelNames.map(_(l)).getOrElse(l.toString)
-
   override def toString: String =
     s"Hypergraph(|V|=$numVertices, |E|=$numEdges, |Σ|=$numLabels, aMax=$maxArity, aAvg=${f"$avgArity%.1f"})"
 }

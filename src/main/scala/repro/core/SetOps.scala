@@ -6,8 +6,9 @@ import scala.collection.mutable.ArrayBuffer
   * binary search, and the intersection the match-by-vertex baselines use
   * (merge, with a galloping fallback when sizes are lopsided). The paper's
   * own engine uses scalar (non-SIMD) set ops, and so does this one.
-  * HGMatch's candidate generation (Section V-B) does its posting-list
-  * unions and intersections in place, in [[CandidateGen]]'s buffers.
+  * HGMatch's candidate generation (Section V-B) does not use them: it
+  * takes its posting-list unions and intersections with per-edge stamps
+  * in [[CandidateGen]].
   */
 object SetOps {
 

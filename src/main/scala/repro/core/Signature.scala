@@ -16,9 +16,8 @@ final case class Signature private (sortedLabels: Vector[Int]) {
   /** Number of vertices with label `l` in a hyperedge of this signature. */
   def count(l: Int): Int = sortedLabels.count(_ == l)
 
-  /** Stable string key, e.g. "0|0|2" — used as the partition key in the
-    * Spark tier and in the DuckDB oracle, where signatures must round-trip
-    * through VARCHAR columns.
+  /** Stable string key, e.g. "0|0|2" — the signature column of the Spark
+    * tier's edge frame and of the DuckDB oracle's tables.
     */
   def key: String = sortedLabels.mkString("|")
 
@@ -55,9 +54,4 @@ object Signature {
   /** Signature of hyperedge `e` (by id) in `h`. */
   def of(h: Hypergraph, e: Int): Signature =
     of(h.edges(e).toIndexedSeq.map(h.labels))
-
-  /** Parse a key produced by [[Signature.key]]. */
-  def parse(key: String): Signature =
-    if (key.isEmpty) Signature(Vector.empty)
-    else Signature(key.split('|').iterator.map(_.toInt).toVector.sorted)
 }

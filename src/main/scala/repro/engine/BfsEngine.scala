@@ -1,6 +1,6 @@
 package repro.engine
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import scala.collection.mutable.ArrayBuffer
 import repro.core._
 
@@ -24,7 +24,8 @@ object BfsEngine {
   private def embBytes(len: Int): Long = 24L + 4L * len
 
   /** Run with `threads` workers per level; abort (like an OOM) if the live
-    * intermediate results exceed `maxBytes`.
+    * intermediate results exceed `maxBytes`. If a level thread throws, the
+    * level stops and the run rethrows the first failure.
     */
   def run(
       tables: HyperedgeTables,
@@ -41,6 +42,7 @@ object BfsEngine {
     var peak = embBytes(1) * level.length
     var exceeded = false
     val timedOutFlag = new java.util.concurrent.atomic.AtomicBoolean(false)
+    val failure = new AtomicReference[Throwable]() // the first level thread's, rethrown after the join
     def timedOut = timedOutFlag.get()
     var pos = 1
 
@@ -50,25 +52,27 @@ object BfsEngine {
       // under a lock — mirrors BFS engines' shared global storage. With
       // one thread the loop runs on the caller's thread.
       val cursor = new AtomicInteger(0)
-      val expandLevel: Runnable = () => {
-        val c = new MatchCounters
-        val expander = new Expander(tables, plan, c)
-        val local = new ArrayBuffer[Array[Int]]()
-        var n = 0
-        var i = cursor.getAndIncrement()
-        while (i < level.length && !timedOut) {
-          expander.expand(level(i))(local += _)
-          if ((n & 0xff) == 0 && System.nanoTime() > deadline) timedOutFlag.set(true)
-          n += 1
-          i = cursor.getAndIncrement()
-        }
-        next.synchronized { next ++= local; counters += c }
-      }
+      val expandLevel: Runnable = () =>
+        try {
+          val c = new MatchCounters
+          val expander = new Expander(tables, plan, c)
+          val local = new ArrayBuffer[Array[Int]]()
+          var n = 0
+          var i = cursor.getAndIncrement()
+          while (i < level.length && !timedOut && failure.get() == null) {
+            expander.expand(level(i))(local += _)
+            if ((n & 0xff) == 0 && System.nanoTime() > deadline) timedOutFlag.set(true)
+            n += 1
+            i = cursor.getAndIncrement()
+          }
+          next.synchronized { next ++= local; counters += c }
+        } catch { case e: Throwable => failure.compareAndSet(null, e) } // stops the other level threads
       if (threads <= 1) expandLevel.run()
       else {
         val ws = (0 until threads).map(_ => new Thread(expandLevel))
         ws.foreach(_.start()); ws.foreach(_.join())
       }
+      if (failure.get() != null) throw failure.get()
       // Both the consumed and the produced level are live at the barrier.
       val liveBytes = embBytes(pos) * level.length + embBytes(pos + 1) * next.length
       peak = math.max(peak, liveBytes)

@@ -88,12 +88,12 @@ object MatchCounters {
 
 /** One EXPAND application shared by every engine: generate candidates,
   * validate, emit extensions, maintain counters. Each worker has its own
-  * Expander and [[MatchCounters]], updated once per expansion. Scratch
-  * buffers are per-thread and belong to `object Expander`, so expansion is
-  * allocation-free (bar the emitted embeddings themselves), and a thread's
-  * scratch, the dense vertex-mask array included, outlives the run (later
-  * runs on that thread, such as the Spark tasks of one executor thread,
-  * reuse it).
+  * Expander and [[MatchCounters]], updated once per expansion. Each
+  * thread has one [[CandidateGen.Scratch]], held by `object Expander`, so
+  * expansion is allocation-free (bar the emitted embeddings themselves),
+  * and a thread's scratch, with its dense vertex-mask and edge-stamp
+  * arrays, outlives the run (later runs on that thread, such as the Spark
+  * tasks of one executor thread, reuse it).
   *
   * An `emit` callback must not re-enter an Expander on the same thread:
   * every Expander on a thread shares that thread's scratch. The engines
@@ -121,12 +121,11 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
     */
   private def extend(emb: Array[Int], emit: Array[Int] => Unit): Long = {
     val step = plan.steps(emb.length - 1)
-    val local = Expander.locals.get()
-    val scratch = local.scratch
+    val scratch = Expander.scratches.get()
     CandidateGen.candidatesInto(tables, step, emb, scratch)
     val arity = step.signature.arity // candidates carry S(e_q), same arity
-    if (local.keys.length < maxArity) local.keys = new Array[Long](maxArity)
-    val keys = local.keys
+    if (scratch.keys.length < maxArity) scratch.keys = new Array[Long](maxArity)
+    val keys = scratch.keys
     var filtered = 0L
     var valid = 0L
     var i = 0
@@ -159,9 +158,5 @@ final class Expander(tables: HyperedgeTables, plan: Plan, counters: MatchCounter
 }
 
 object Expander {
-  private final class Local {
-    val scratch = new CandidateGen.Scratch
-    var keys = new Array[Long](0) // grown to the expanding plan's largest arity
-  }
-  private val locals = ThreadLocal.withInitial[Local](() => new Local)
+  private val scratches = ThreadLocal.withInitial[CandidateGen.Scratch](() => new CandidateGen.Scratch)
 }

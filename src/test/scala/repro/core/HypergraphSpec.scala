@@ -87,8 +87,8 @@ class HypergraphSpec extends AnyFunSuite {
   }
 
   test("label names resolve") {
-    assert(h.labelName(0) == "A")
-    assert(h.labelName(2) == "C")
+    assert(h.labelNames.map(_(0)).contains("A"))
+    assert(h.labelNames.map(_(2)).contains("C"))
   }
 
   test("signatures array is consistent with Signature.of") {

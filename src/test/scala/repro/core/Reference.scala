@@ -15,11 +15,21 @@ object Reference {
     else java.util.Arrays.copyOfRange(tables.postings, tables.runStart(r), tables.runStart(r + 1))
   }
 
-  /** Algorithm 4, allocating form: the candidates of `step` for `emb`. */
+  /** Algorithm 4, allocating form: the candidates of `step` for `emb`,
+    * sorted. Per pair, the sorted union of he(v, S(e_q)) over V_incdt: the
+    * vertices of the pair's matched hyperedge with the pair's label and
+    * partial degree, outside V_n_incdt, all recomputed from `emb`. Then
+    * the pairs' intersection (line 7). Shares no code with [[CandidateGen]].
+    */
   def candidates(tables: HyperedgeTables, step: ExpandStep, emb: Array[Int]): Array[Int] = {
-    val s = new CandidateGen.Scratch
-    CandidateGen.candidatesInto(tables, step, emb, s)
-    java.util.Arrays.copyOf(s.a, s.na)
+    val g = tables.graph
+    val prefix = emb.take(step.pos).map(g.edges(_))
+    val nonIncident = step.nonAdjPrevPos.flatMap(prefix(_)).toSet
+    step.pairs.map { p =>
+      prefix(p.prevPos)
+        .filter(v => g.labels(v) == p.label && !nonIncident(v) && prefix.count(_.contains(v)) == p.degInPartial)
+        .flatMap(incident(tables, _, step.signature)).distinct.sorted
+    }.reduce(SetOps.intersect)
   }
 
   /** The multiset of vertex profiles, (label, positions of the first

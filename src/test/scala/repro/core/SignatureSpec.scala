@@ -25,15 +25,6 @@ class SignatureSpec extends AnyFunSuite {
     assert(s.count(5) == 0)
   }
 
-  test("key round-trips through parse") {
-    val s = Signature.of(Seq(5, 1, 1, 9))
-    assert(Signature.parse(s.key) == s)
-  }
-
-  test("empty signature parses") {
-    assert(Signature.parse("").arity == 0)
-  }
-
   test("multi-digit labels do not collide in keys") {
     assert(Signature.of(Seq(0, 11)).key != Signature.of(Seq(0, 1, 1)).key)
   }
@@ -50,15 +41,6 @@ class SignatureSpec extends AnyFunSuite {
     for (_ <- 1 to 100) {
       val ls = List.fill(1 + rnd.nextInt(8))(rnd.nextInt(10))
       assert(Signature.of(ls).key == Signature.of(rnd.shuffle(ls)).key)
-    }
-  }
-
-  test("property: parse(key) is identity (100 random multisets)") {
-    val rnd = new Random(2)
-    for (_ <- 1 to 100) {
-      val ls = List.fill(1 + rnd.nextInt(8))(rnd.nextInt(30))
-      val s = Signature.of(ls)
-      assert(Signature.parse(s.key) == s)
     }
   }
 

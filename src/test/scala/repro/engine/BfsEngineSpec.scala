@@ -57,6 +57,16 @@ class BfsEngineSpec extends AnyFunSuite {
     }
   }
 
+  test("a level thread's failure is rethrown at one and at four threads") {
+    // Step 2's pair names order position 7 of a 2-hyperedge prefix, so
+    // every expansion at that level throws.
+    val steps = plan.steps.clone()
+    steps(1) = steps(1).copy(pairs = Array(PairSpec(7, 0, 1)))
+    val broken = plan.copy(steps = steps)
+    for (threads <- Seq(1, 4))
+      intercept[ArrayIndexOutOfBoundsException](BfsEngine.run(t, broken, threads))
+  }
+
   test("memory cap triggers the OOM stand-in") {
     val data = TestGraphs.random(40, 200, 1, 3, 5)
     val tb = HyperedgeTables.build(data)
